@@ -84,14 +84,21 @@ Matrix RandomStochastic(std::size_t k, Rng* rng) {
 // 2^n appends, and the only allocation on this path — fires during
 // warm-up, not the window; run with more iterations and you count exactly
 // those doublings, in agreement with the tracked_mallocs counter).
+//
+// Arg 1 runs the same loop on the stationary-initial chain with the
+// shortcut on (the path engines take on a stationary model): an append
+// moves the middle cursor and reuses the memoized middle-node score, so
+// allocs_per_append must read 0.000 there too.
 void BM_SteadyAppendAllocs(benchmark::State& state) {
+  const bool shortcut = state.range(0) != 0;
+  // (0.8, 0.2) is the stationary distribution of this transition matrix.
+  const Vector initial = shortcut ? Vector{0.8, 0.2} : Vector{1.0, 0.0};
   const MarkovChain chain =
-      MarkovChain::Make({1.0, 0.0}, Matrix{{0.9, 0.1}, {0.4, 0.6}})
-          .ValueOrDie();
+      MarkovChain::Make(initial, Matrix{{0.9, 0.1}, {0.4, 0.6}}).ValueOrDie();
   ChainMqmOptions options;
   options.epsilon = 1.0;
   options.max_nearby = 8;
-  options.allow_stationary_shortcut = false;
+  options.allow_stationary_shortcut = shortcut;
   ChainMqmAnalysis analysis =
       ChainMqmAnalysis::Analyze({chain}, 10000, options).ValueOrDie();
   std::size_t length = 10000;
@@ -116,8 +123,11 @@ void BM_SteadyAppendAllocs(benchmark::State& state) {
   state.counters["tracked_mallocs"] = static_cast<double>(tracked_mallocs);
   state.counters["retained_bytes"] =
       static_cast<double>(analysis.result().memory.arena_retained_bytes);
+  state.counters["shortcut"] = analysis.result().used_stationary_shortcut;
 }
 BENCHMARK(BM_SteadyAppendAllocs)
+    ->Arg(0)
+    ->Arg(1)
     ->Unit(benchmark::kMicrosecond)
     ->Iterations(8000);
 

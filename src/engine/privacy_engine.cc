@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <random>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -111,7 +112,7 @@ Status ValidateModel(const ModelSpec& model) {
       if (model.length == 0) {
         return Status::InvalidArgument("chain class needs a positive length");
       }
-      return Status::OK();
+      return ValidateChainLength(model.length);
     case ModelSpec::Kind::kChainClassFreeInitial:
       if (model.transitions.empty()) {
         return Status::InvalidArgument("free-initial class has no transitions");
@@ -119,12 +120,12 @@ Status ValidateModel(const ModelSpec& model) {
       if (model.length == 0) {
         return Status::InvalidArgument("chain class needs a positive length");
       }
-      return Status::OK();
+      return ValidateChainLength(model.length);
     case ModelSpec::Kind::kChainSummary:
       if (model.length == 0) {
         return Status::InvalidArgument("chain summary needs a positive length");
       }
-      return Status::OK();
+      return ValidateChainLength(model.length);
     case ModelSpec::Kind::kNetworkClass:
       if (model.networks.empty()) {
         return Status::InvalidArgument("network class is empty");
@@ -344,6 +345,13 @@ std::size_t PrivacyEngine::record_length() const {
 
 Status PrivacyEngine::AppendObservations(std::size_t delta) {
   MutexLock lock(model_mutex_);
+  // Refused before the sum can wrap; ValidateModel checks the sum itself.
+  if (delta > kMaxChainLength) {
+    return Status::InvalidArgument(
+        "cannot append " + std::to_string(delta) +
+        " observations: a chain holds at most " +
+        std::to_string(kMaxChainLength));
+  }
   return SetRecordLengthLocked(model_.length + delta);
 }
 

@@ -204,9 +204,13 @@ class PrivacyEngine {
   /// invalidated (compiled Lipschitz constants and plans are
   /// length-dependent), but cached MQMExact analyses are NOT discarded:
   /// the next Compile at the new length EXTENDS the retained resumable
-  /// analysis (AnalysisCache::GetOrExtend), which costs O(max_nearby +
-  /// delta) instead of a cold O(T) re-analysis and is bit-identical to
-  /// one. Sessions opened before the append keep their spent budget;
+  /// analysis (AnalysisCache::GetOrExtend), which is bit-identical to a
+  /// cold O(T) re-analysis but costs O(max_nearby + delta) on the dedup
+  /// scan and O(1) under the stationary shortcut (stationary-initial
+  /// chains, the default): its memoized middle-node score is reused once
+  /// the record holds 2 * max_nearby + 1 observations. A resulting
+  /// length above kMaxChainLength is InvalidArgument and changes nothing.
+  /// Sessions opened before the append keep their spent budget;
   /// releases they make afterwards are priced on the new plan, and the
   /// Theorem 4.4 ledger refuses them (FailedPrecondition) if the new
   /// active quilt differs from the session's earlier releases — open a

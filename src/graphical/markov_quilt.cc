@@ -14,6 +14,15 @@ std::string MarkovQuilt::ToString() const {
   return s;
 }
 
+Status ValidateChainLength(std::size_t length) {
+  if (length > kMaxChainLength) {
+    return Status::InvalidArgument(
+        "chain length " + std::to_string(length) + " exceeds the limit of " +
+        std::to_string(kMaxChainLength) + " nodes");
+  }
+  return Status::OK();
+}
+
 std::pair<int, int> ChainQuiltOffsets(const MarkovQuilt& quilt) {
   int a = 0, b = 0;
   for (int q : quilt.quilt) {

@@ -6,6 +6,7 @@
 #define PUFFERFISH_GRAPHICAL_MARKOV_QUILT_H_
 
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,6 +42,16 @@ struct MarkovQuilt {
   /// Debug rendering like "quilt{X3,X13} near=9" for logs and tests.
   std::string ToString() const;
 };
+
+/// \brief Longest chain the chain-quilt code can index: nodes are `int`
+/// (MarkovQuilt::target, MarkovQuilt::quilt), so T may not exceed INT_MAX.
+inline constexpr std::size_t kMaxChainLength =
+    static_cast<std::size_t>(std::numeric_limits<int>::max());
+
+/// \brief InvalidArgument when `length` exceeds kMaxChainLength. The
+/// MQMExact and MQMApprox entry points and the engine's model validation
+/// check this before any node arithmetic.
+Status ValidateChainLength(std::size_t length);
 
 /// \brief Endpoint distances (a, b) of a chain quilt relative to its
 /// target: a for the past-side node X_{i-a}, b for the future-side node

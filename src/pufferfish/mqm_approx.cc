@@ -140,6 +140,7 @@ Result<ChainMqmResult> MqmApproxAnalyze(const ChainClassSummary& summary,
   PF_RETURN_NOT_OK(CheckSummary(summary));
   PF_RETURN_NOT_OK(ValidatePrivacyParams({options.epsilon}));
   if (length == 0) return Status::InvalidArgument("length must be positive");
+  PF_RETURN_NOT_OK(ValidateChainLength(length));
   PF_ASSIGN_OR_RETURN(std::size_t a_star,
                       LemmaFourNineAStar(summary, options.epsilon));
   std::size_t max_nearby = options.max_nearby;

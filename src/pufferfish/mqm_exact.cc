@@ -628,6 +628,15 @@ struct NodeClass {
   std::size_t value_doubles() const {
     return power.rows() * power.cols() + marginal.size();
   }
+  // Copies the stream's current value into the mode's slot (capacity
+  // reused once the slot has been filled).
+  void SetValue(const NodeValueStream& stream) {
+    if (stream.free_initial()) {
+      power = stream.power();
+    } else {
+      marginal = stream.marginal();
+    }
+  }
 };
 
 // Caps the class store so slowly-converging value streams cannot grow
@@ -639,6 +648,12 @@ std::size_t MaxClasses(std::size_t max_nearby) {
 }
 
 constexpr std::uint32_t kNoClass = std::numeric_limits<std::uint32_t>::max();
+
+// Checkpoint cadence for the O(T) streaming loops (dedup scan, shortcut
+// middle walk): frequent enough that a deadline overrun is bounded by ~4096
+// O(k^2) steps, rare enough that the clock read never shows up in a
+// profile.
+constexpr std::size_t kDeadlineStride = 4096;
 
 std::uint64_t ClassKeyHash(const NodeValueStream& stream, std::size_t dl,
                            std::size_t dr) {
@@ -779,10 +794,6 @@ Result<bool> ClassifyNodes(DedupScanState& st, const ExactEvaluator& eval,
     pending.clear();
   };
 
-  // Checkpoint cadence for the O(T) streaming loop: frequent enough that a
-  // deadline overrun is bounded by ~4096 O(k^2) steps, rare enough that the
-  // clock read never shows up in the scan profile.
-  constexpr std::size_t kDeadlineStride = 4096;
   for (std::size_t i = begin; i < length; ++i) {
     if ((i - begin) % kDeadlineStride == 0) {
       PF_RETURN_NOT_OK(CheckDeadline("dedup node scan"));
@@ -825,11 +836,7 @@ Result<bool> ClassifyNodes(DedupScanState& st, const ExactEvaluator& eval,
         cls.dl = dl;
         cls.dr = dr;
         cls.member_count = 1;
-        if (stream.free_initial()) {
-          cls.power = stream.power();
-        } else {
-          cls.marginal = stream.marginal();
-        }
+        cls.SetValue(stream);
         st.class_value_doubles += cls.value_doubles();
         found = static_cast<std::uint32_t>(st.classes.size());
         st.classes.push_back(std::move(cls));
@@ -1215,6 +1222,16 @@ struct ThetaState {
   // Retained scratch for the shortcut's per-pass middle-node context
   // (capacity reused — a warm shortcut pass builds it without allocating).
   ExactEvaluator::NodeContext ctx_scratch;
+  // The shortcut's middle-node scores, keyed like dedup classes by the exact
+  // stream value and the clip distances (dl, dr). By the NodeClass
+  // invariant a stored score is valid at any middle node and length with an
+  // equal key, so once the marginal has cycled and both distances saturate,
+  // an append re-applies only the length-dependent parts. Two slots, filled
+  // round-robin, so a period-2 middle value hits on every append. Like
+  // ctx_scratch, not counted in memory.peak_bytes: a cold analysis fills
+  // fewer slots than a long-extended one, and the diagnostics must agree.
+  NodeClass mid_memo[2];
+  std::size_t mid_memo_next = 0;
 
   std::unique_ptr<DedupScanState> scan;
   ChainMqmResult result;
@@ -1272,22 +1289,53 @@ Status AnalyzeThetaAt(ThetaState& st, std::size_t length,
       ++pass_mallocs;
     }
     const std::size_t mid_growth_before = st.mid_stream->growth_events();
-    while (st.mid_pos < mid) {
-      st.mid_stream->Advance();
+    NodeValueStream& mid_stream = *st.mid_stream;
+    // Until the marginal cycles the walk is O(mid) with a checkpoint; after
+    // that the value at any later node is known and the cursor jumps.
+    while (st.mid_pos < mid && mid_stream.period() == 0) {
+      if (st.mid_pos % kDeadlineStride == 0) {
+        PF_RETURN_NOT_OK(CheckDeadline("stationary middle walk"));
+      }
+      mid_stream.Advance();
       ++st.mid_pos;
     }
-    pass_mallocs += st.mid_stream->growth_events() - mid_growth_before;
-    if (st.ctx_scratch.feasible.empty()) ++pass_mallocs;
-    if (st.mid_stream->free_initial()) {
-      st.eval.ContextFromPowerInto(mid, st.mid_stream->power(),
-                                   &st.ctx_scratch);
-    } else {
-      st.eval.ContextFromMarginalInto(mid, st.mid_stream->marginal(),
-                                      &st.ctx_scratch);
+    if (st.mid_pos < mid) {
+      if (mid_stream.period() == 2 && (mid - st.mid_pos) % 2 == 1) {
+        mid_stream.Advance();  // One swap moves the two-cycle's phase.
+      }
+      st.mid_pos = mid;
     }
-    const NodeScore mid_score = ScoreNode(st.eval, length, st.ctx_scratch,
-                                          options.epsilon, options.max_nearby);
-    const QuiltCand w = NodeWinner(mid_score, length, options.epsilon);
+    pass_mallocs += mid_stream.growth_events() - mid_growth_before;
+    const std::size_t dl = std::min(mid, options.max_nearby);
+    const std::size_t dr = std::min(length - 1 - mid, options.max_nearby);
+    const NodeClass* memo = nullptr;
+    for (const NodeClass& cls : st.mid_memo) {
+      if (cls.scored && ClassMatches(cls, mid_stream, dl, dr)) {
+        memo = &cls;
+        break;
+      }
+    }
+    if (memo == nullptr) {
+      if (st.ctx_scratch.feasible.empty()) ++pass_mallocs;
+      if (mid_stream.free_initial()) {
+        st.eval.ContextFromPowerInto(mid, mid_stream.power(), &st.ctx_scratch);
+      } else {
+        st.eval.ContextFromMarginalInto(mid, mid_stream.marginal(),
+                                        &st.ctx_scratch);
+      }
+      const NodeScore scored = ScoreNode(st.eval, length, st.ctx_scratch,
+                                         options.epsilon, options.max_nearby);
+      NodeClass& slot = st.mid_memo[st.mid_memo_next];
+      st.mid_memo_next ^= 1;
+      if (slot.value_doubles() == 0) ++pass_mallocs;  // First fill.
+      slot.dl = dl;
+      slot.dr = dr;
+      slot.score = scored;
+      slot.SetValue(mid_stream);
+      slot.scored = true;
+      memo = &slot;
+    }
+    const QuiltCand w = NodeWinner(memo->score, length, options.epsilon);
     // Materialize into the retained result slot; decide interior-ness from
     // the offsets directly (what IsInteriorTwoSided read off the vector).
     const bool two_sided_interior =
@@ -1306,7 +1354,7 @@ Status AnalyzeThetaAt(ThetaState& st, std::size_t length,
       result.scored_nodes = 1;
       result.memory.peak_bytes =
           sizeof(double) *
-          (st.eval.StoredDoubles() + st.mid_stream->StoredDoubles());
+          (st.eval.StoredDoubles() + mid_stream.StoredDoubles());
       result.memory.arena_retained_bytes = result.memory.peak_bytes;
       result.memory.mallocs = pass_mallocs;
       return Status::OK();
@@ -1439,6 +1487,7 @@ Result<ChainMqmAnalysis> ChainMqmAnalysis::Analyze(
   PF_RETURN_NOT_OK(ValidatePrivacyParams({options.epsilon}));
   if (thetas.empty()) return Status::InvalidArgument("empty chain class");
   if (length == 0) return Status::InvalidArgument("length must be positive");
+  PF_RETURN_NOT_OK(ValidateChainLength(length));
   for (const MarkovChain& theta : thetas) {
     if (theta.num_states() > 64) {
       return Status::NotSupported("exact influence supports at most 64 states");
@@ -1475,6 +1524,7 @@ Result<ChainMqmAnalysis> ChainMqmAnalysis::AnalyzeFreeInitial(
   PF_RETURN_NOT_OK(ValidatePrivacyParams({options.epsilon}));
   if (transitions.empty()) return Status::InvalidArgument("empty class");
   if (length == 0) return Status::InvalidArgument("length must be positive");
+  PF_RETURN_NOT_OK(ValidateChainLength(length));
   for (const Matrix& p : transitions) {
     if (p.rows() != p.cols() || p.rows() > 64 || !p.IsRowStochastic(1e-8)) {
       return Status::InvalidArgument(
@@ -1502,6 +1552,7 @@ Status ChainMqmAnalysis::ExtendTo(std::size_t new_length) {
         std::to_string(new_length) + "; create a new analysis to shrink");
   }
   if (new_length == impl_->length) return Status::OK();
+  PF_RETURN_NOT_OK(ValidateChainLength(new_length));
   return impl_->RunAt(new_length);
 }
 
@@ -1513,11 +1564,11 @@ Result<double> ChainQuiltInfluenceExact(const MarkovChain& theta,
   if (theta.num_states() > 64) {
     return Status::NotSupported("exact influence supports at most 64 states");
   }
-  if (quilt.target < 0 || quilt.target >= static_cast<int>(length)) {
+  if (quilt.target < 0 || static_cast<std::size_t>(quilt.target) >= length) {
     return Status::InvalidArgument("quilt target outside chain");
   }
   for (int q : quilt.quilt) {
-    if (q < 0 || q >= static_cast<int>(length)) {
+    if (q < 0 || static_cast<std::size_t>(q) >= length) {
       return Status::InvalidArgument("quilt node outside chain");
     }
     if (q == quilt.target) {

@@ -133,12 +133,22 @@ struct ChainMqmResult {
 ///    T+delta) equal the one-shot analysis at T+delta.
 ///  - ExtendTo only grows: new_length < length() is InvalidArgument (build
 ///    a fresh analysis to shrink); new_length == length() is a no-op.
-///  - Cost: O(max_nearby) rescored classes + O(delta) streamed nodes +
-///    an O(T') reduce of stored per-class scores — no per-node sigma_i
-///    work on the interior. Paths that keep no per-node state (the
-///    exhaustive reference scan, or a dedup scan whose class store
-///    overflowed) transparently fall back to a cold re-analysis, which is
-///    always correct, just not incremental.
+///  - Cost on the dedup scan: O(max_nearby) rescored classes + O(delta)
+///    streamed nodes + a reduce over the stored per-class scores — no
+///    per-node sigma_i work on the interior. Paths that keep no per-node
+///    state (the exhaustive reference scan, or a dedup scan whose class
+///    store overflowed) transparently fall back to a cold re-analysis,
+///    which is always correct, just not incremental.
+///  - Cost under the stationary shortcut: O(1) once the middle node's
+///    marginal has cycled and its clip distances min(mid, ell),
+///    min(T'-1-mid, ell) are saturated. The middle node's family score is
+///    memoized by (exact marginal, clip distances), so an append re-applies
+///    only the length-dependent trivial quilt and re-materializes the
+///    active quilt; a key change (short chains, or a marginal that has not
+///    cycled yet) rescores the O(max_nearby^2)-quilt family once.
+///  - Lengths above kMaxChainLength (INT_MAX; chain nodes are int) are
+///    InvalidArgument from Analyze, AnalyzeFreeInitial and ExtendTo; a
+///    refused ExtendTo leaves the analysis unchanged.
 ///
 /// Not thread-safe: callers serialize ExtendTo (the AnalysisCache does).
 class ChainMqmAnalysis {

@@ -322,6 +322,44 @@ TEST(PrivacyEngineTest, SetRecordLengthValidation) {
   EXPECT_EQ(laplace->AppendObservations(5).code(), StatusCode::kNotSupported);
 }
 
+TEST(PrivacyEngineTest, ChainLengthsPastTheIntLimitAreRefused) {
+  // Chain nodes are int indices; a longer record must be refused up front
+  // instead of wrapping to a negative length inside the analysis.
+  const std::size_t huge = kMaxChainLength + 1;
+  EXPECT_EQ(SelectMechanism(ShortChainModel(huge), EngineOptions{})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SelectMechanism(ModelSpec::ChainClassFreeInitial(
+                                {Matrix{{0.8, 0.2}, {0.3, 0.7}}}, huge),
+                            EngineOptions{})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  ChainClassSummary summary;
+  summary.pi_min = 0.4;
+  summary.eigengap = 0.5;
+  EXPECT_EQ(SelectMechanism(ModelSpec::ChainSummary(summary, 2, huge),
+                            EngineOptions{})
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(PrivacyEngine::Create(ShortChainModel(huge)).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The hot-swap paths refuse too and leave the record untouched,
+  // including a delta large enough to wrap the sum.
+  auto engine = PrivacyEngine::Create(ShortChainModel(100)).ValueOrDie();
+  EXPECT_EQ(engine->SetRecordLength(huge).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->AppendObservations(kMaxChainLength).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->AppendObservations(~std::size_t{0}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->record_length(), 100u);
+  EXPECT_TRUE(engine->Compile(QuerySpec::Mean(1.0)).ok());
+}
+
 TEST(PrivacyEngineTest, NonChainMechanismsReportZeroStats) {
   auto engine =
       PrivacyEngine::Create(ModelSpec::Sensitivity(1.0)).ValueOrDie();

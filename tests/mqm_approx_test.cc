@@ -170,6 +170,18 @@ TEST(MqmApproxTest, RejectsBadSummaries) {
   EXPECT_FALSE(MqmApproxAnalyze(bad, 100, options).ok());
 }
 
+TEST(MqmApproxTest, RejectsLengthsPastTheIntLimit) {
+  ChainMqmOptions options;
+  options.epsilon = 1.0;
+  EXPECT_EQ(MqmApproxAnalyze(Theta1Summary(), kMaxChainLength + 1, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      MqmApproxAnalyze({Theta1()}, kMaxChainLength + 1, options).status().code(),
+      StatusCode::kInvalidArgument);
+}
+
 TEST(MqmApproxTest, SummaryRejectsPeriodicChains) {
   const MarkovChain cycle =
       MarkovChain::Make({0.5, 0.5}, Matrix{{0.0, 1.0}, {1.0, 0.0}}).ValueOrDie();

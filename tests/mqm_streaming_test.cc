@@ -10,6 +10,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/deadline.h"
 #include "common/matrix.h"
 #include "graphical/markov_chain.h"
 #include "pufferfish/mqm_exact.h"
@@ -266,6 +267,148 @@ TEST(MqmStreamingTest, SteadyStateAppendAllocatesNothing) {
         << "append to T=" << target << " allocated";
     EXPECT_GT(analysis.result().memory.arena_retained_bytes, 0u);
   }
+}
+
+// ------------------------------------------- stationary shortcut appends --
+//
+// Streaming appends on a stationary-initial chain take the Lemma C.4
+// shortcut, which scores only the middle node and memoizes that score by
+// (exact marginal, dl, dr) across ExtendTo calls.
+
+MarkovChain StationaryChain(const Matrix& p) {
+  return MarkovChain::Make(StationaryOf(p), p).ValueOrDie();
+}
+
+// The last chain has a negative second eigenvalue: its marginal stream
+// settles into a bitwise two-cycle, so the middle node's value (and its
+// sigma, in the last bits) alternates with the node's parity and both memo
+// slots are live.
+std::vector<MarkovChain> StationaryChains() {
+  return {StationaryChain(kBinary),
+          StationaryChain(
+              Matrix{{0.7, 0.2, 0.1}, {0.1, 0.6, 0.3}, {0.3, 0.1, 0.6}}),
+          StationaryChain(Matrix{{0.6, 0.2, 0.1, 0.1},
+                                 {0.1, 0.5, 0.3, 0.1},
+                                 {0.2, 0.1, 0.6, 0.1},
+                                 {0.25, 0.25, 0.25, 0.25}}),
+          StationaryChain(Matrix{{0.4, 0.6}, {0.7, 0.3}})};
+}
+
+TEST(MqmStreamingTest, ChainedShortcutExtensionsMatchCold) {
+  // Starts below 2 * ell + 1, so the middle node's clip distances (dl, dr)
+  // change along the way and the memoized score must miss; later appends
+  // reuse it. +1..+8 steps cover both parities of the middle node.
+  constexpr std::size_t kEll = 12;
+  constexpr std::size_t kSteps = 210;
+  for (const MarkovChain& chain : StationaryChains()) {
+    for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      ChainMqmOptions options;
+      options.epsilon = 1.0;
+      options.max_nearby = kEll;
+      options.num_threads = threads;
+      std::size_t t = 4;
+      ChainMqmAnalysis analysis =
+          ChainMqmAnalysis::Analyze({chain}, t, options).ValueOrDie();
+      for (std::size_t step = 0; step < kSteps; ++step) {
+        t += 1 + (step * 5) % 8;
+        ASSERT_TRUE(analysis.ExtendTo(t).ok());
+        const ChainMqmResult& got = analysis.result();
+        ExpectBitIdentical(got,
+                           MqmExactAnalyze({chain}, t, options).ValueOrDie());
+        // Cold and extended analyses share the middle cursor's jump; the
+        // single-quilt evaluator walks node by node, so it independently
+        // pins the middle node's value.
+        if (got.used_stationary_shortcut && !got.active_quilt.IsTrivial()) {
+          EXPECT_EQ(got.influence,
+                    ChainQuiltInfluenceExact(chain, t, got.active_quilt)
+                        .ValueOrDie());
+        }
+      }
+      EXPECT_TRUE(analysis.result().used_stationary_shortcut)
+          << chain.num_states() << " states, " << threads << " threads";
+    }
+  }
+}
+
+TEST(MqmStreamingTest, SteadyStateShortcutAppendAllocatesNothing) {
+  // The shortcut twin of SteadyStateAppendAllocatesNothing: once the
+  // memoized middle score covers the saturated key, an append only moves
+  // the middle cursor and re-materializes the active quilt.
+  for (const MarkovChain& chain : StationaryChains()) {
+    ChainMqmOptions options;
+    options.epsilon = 1.0;
+    options.max_nearby = 8;
+    ChainMqmAnalysis analysis =
+        ChainMqmAnalysis::Analyze({chain}, 5000, options).ValueOrDie();
+    ASSERT_TRUE(analysis.result().used_stationary_shortcut);
+    ASSERT_TRUE(analysis.ExtendTo(5001).ok());
+    ASSERT_TRUE(analysis.ExtendTo(5002).ok());
+    for (std::size_t target = 5003; target <= 5010; ++target) {
+      ASSERT_TRUE(analysis.ExtendTo(target).ok());
+      EXPECT_EQ(analysis.result().memory.mallocs, 0u)
+          << "append to T=" << target << " allocated";
+      EXPECT_TRUE(analysis.result().used_stationary_shortcut);
+    }
+  }
+}
+
+TEST(MqmStreamingTest, CancelledShortcutExtensionRetriesBitIdentical) {
+  // The expired deadline fires while the extension is still building
+  // distance tables, before any score is memoized; the retry must match a
+  // cold analysis.
+  const MarkovChain chain = StationaryChain(kBinary);
+  ChainMqmOptions options;
+  options.epsilon = 1.0;
+  options.max_nearby = 12;
+  ChainMqmAnalysis analysis =
+      ChainMqmAnalysis::Analyze({chain}, 10, options).ValueOrDie();
+  const ChainMqmResult before = analysis.result();
+  {
+    DeadlineScope scope(Deadline::Expired());
+    EXPECT_EQ(analysis.ExtendTo(2000).code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_EQ(analysis.length(), 10u);
+  ExpectBitIdentical(analysis.result(), before);
+  ASSERT_TRUE(analysis.ExtendTo(2000).ok());
+  ExpectBitIdentical(analysis.result(),
+                     MqmExactAnalyze({chain}, 2000, options).ValueOrDie());
+}
+
+TEST(MqmStreamingTest, HugeLengthsUpToTheIntLimit) {
+  // Chain nodes are int indices. The last representable length analyzes
+  // in O(1) under the shortcut (the middle cursor jumps once the marginal
+  // cycles); one more is refused by every entry point and leaves a
+  // resumable analysis unchanged.
+  const MarkovChain chain = StationaryChain(kBinary);
+  ChainMqmOptions options;
+  options.epsilon = 1.0;
+  options.max_nearby = 12;
+  ChainMqmAnalysis analysis =
+      ChainMqmAnalysis::Analyze({chain}, 10000, options).ValueOrDie();
+  const double sigma = analysis.result().sigma_max;
+  ASSERT_TRUE(analysis.ExtendTo(kMaxChainLength).ok());
+  const ChainMqmResult cold =
+      MqmExactAnalyze({chain}, kMaxChainLength, options).ValueOrDie();
+  ExpectBitIdentical(analysis.result(), cold);
+  EXPECT_TRUE(cold.used_stationary_shortcut);
+  EXPECT_EQ(static_cast<std::size_t>(cold.worst_node), kMaxChainLength / 2);
+  // Past the boundary region the interior quilt's score is
+  // length-independent.
+  EXPECT_EQ(cold.sigma_max, sigma);
+
+  EXPECT_EQ(analysis.ExtendTo(kMaxChainLength + 1).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(analysis.length(), kMaxChainLength);
+  ExpectBitIdentical(analysis.result(), cold);
+  EXPECT_EQ(ChainMqmAnalysis::Analyze({chain}, kMaxChainLength + 1, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(ChainMqmAnalysis::AnalyzeFreeInitial({kBinary},
+                                                 kMaxChainLength + 1, options)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
