@@ -13,7 +13,11 @@
 //                  ISSUE's >= 10x criterion measures against (compare
 //                  Tree/18/... across the two families);
 //  - NoDedup:      elimination with dedup_nodes = false, isolating the
-//                  node-class win from the inference win.
+//                  node-class win from the inference win;
+//  - TwoTreeClass: the class of two 31-node binary trees (flip 0.3 and
+//                  0.35, root 0.3) that pf-bench's cold-analyze workload
+//                  analyzes, on one thread: 5 node classes whose quilts
+//                  each replay one elimination plan per (theta, value).
 //
 // Counters report sigma, scored-vs-total nodes, the dedup ratio, the
 // observed induced width, and peak factor-table bytes.
@@ -167,6 +171,26 @@ BENCHMARK(BM_AnalyzeNoDedup)
     ->Args({kGrid, 120})
     ->Args({kHubSpoke, 250})
     ->Unit(benchmark::kMillisecond);
+
+// ---- The cold-analyze model: two same-shape thetas of a 31-node tree.
+void BM_AnalyzeTwoTreeClass(benchmark::State& state) {
+  std::vector<BayesianNetwork> thetas;
+  for (double flip : {0.3, 0.35}) {
+    thetas.push_back(
+        TreeNetwork(31, 2, BinaryRoot(0.3), BinaryNoisyCopyCpt(flip))
+            .ValueOrDie());
+  }
+  const MqmAnalyzeOptions options =
+      Options(InferenceBackend::kVariableElimination, true, 1);
+  MqmAnalysis analysis;
+  for (auto _ : state) {
+    analysis = AnalyzeMarkovQuiltMechanism(thetas, kEpsilon, options).ValueOrDie();
+    benchmark::DoNotOptimize(analysis.sigma_max + 0.0);
+  }
+  ReportCounters(state, analysis);
+  state.SetLabel("tree x2 thetas");
+}
+BENCHMARK(BM_AnalyzeTwoTreeClass)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace pf

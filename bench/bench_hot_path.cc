@@ -134,34 +134,49 @@ BENCHMARK(BM_SteadyAppendAllocs)
 // ------------------------------------------------ 1b. warm elimination ----
 
 // Repeated conditional-joint inferences on a 127-node tree: after the
-// first call warms the thread's elimination workspace, every later call
-// runs entirely in the retained arena. allocs_per_call must be 0.000.
+// first calls warm the thread's elimination workspace, every later call
+// runs entirely in retained storage. allocs_per_call must be 0.000.
+//
+// Arg 0 repeats one query, so every call replays the thread's stored
+// elimination plan. Arg 1 cycles through four queries — two evidence
+// values on each of two query structures — so every structure switch
+// rebuilds the plan (min-fill order, steps, output layout) in the
+// retained plan storage; allocs_per_call must read 0.000 there too.
 void BM_WarmEliminationAllocs(benchmark::State& state) {
+  const bool alternate = state.range(0) != 0;
   const BayesianNetwork net =
       TreeNetwork(127, 2, Vector{0.6, 0.4}, BinaryNoisyCopyCpt(0.25))
           .ValueOrDie();
   const std::vector<Factor> factors = net.Factors();
   const std::vector<int> arities = net.Arities();
-  const std::vector<int> targets{63, 100};
-  const std::vector<std::pair<int, int>> evidence{{0, 0}, {126, 1}};
+  struct Query {
+    std::vector<int> targets;
+    std::vector<std::pair<int, int>> evidence;
+  };
+  std::vector<Query> queries = {{{63, 100}, {{0, 0}, {126, 1}}}};
+  if (alternate) {
+    queries = {{{63, 100}, {{0, 0}, {126, 1}}},
+               {{7, 8, 40}, {{3, 1}}},
+               {{63, 100}, {{0, 1}, {126, 0}}},
+               {{7, 8, 40}, {{3, 0}}}};
+  }
   Vector out;
-  // Warm the thread-local workspace (first call allocates the arena).
-  for (int i = 0; i < 3; ++i) {
+  const auto run = [&](std::size_t i) {
+    const Query& q = queries[i % queries.size()];
     const Status s =
-        FactorConditionalJointInto(factors, arities, targets, evidence,
+        FactorConditionalJointInto(factors, arities, q.targets, q.evidence,
                                    1u << 22, InferenceBackend::kAuto,
                                    nullptr, &out);
     if (!s.ok()) state.SkipWithError("inference");
-  }
+  };
+  // Warm the thread-local workspace (the first calls grow the arena and
+  // the plan storage to the largest query's size).
+  for (std::size_t i = 0; i < 2 * queries.size() + 1; ++i) run(i);
   std::size_t allocs = 0;
   std::size_t calls = 0;
   for (auto _ : state) {
     const std::size_t before = AllocCount();
-    const Status s =
-        FactorConditionalJointInto(factors, arities, targets, evidence,
-                                   1u << 22, InferenceBackend::kAuto,
-                                   nullptr, &out);
-    if (!s.ok()) state.SkipWithError("inference");
+    run(calls);
     allocs += AllocCount() - before;
     ++calls;
   }
@@ -171,7 +186,11 @@ void BM_WarmEliminationAllocs(benchmark::State& state) {
   state.counters["scratch_retained_bytes"] =
       static_cast<double>(EliminationScratchRetainedBytes());
 }
-BENCHMARK(BM_WarmEliminationAllocs)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_WarmEliminationAllocs)
+    ->ArgName("alternate")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 // ----------------------------------------------------- 2. kernel GFLOP/s --
 

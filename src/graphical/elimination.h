@@ -8,7 +8,10 @@
 //
 // The tree-decomposition view (WCOJ / junction-tree literature): each
 // elimination step materializes one bag of the decomposition; the `limit`
-// guard bounds the largest bag's table, not the joint space.
+// guard bounds the largest bag's table, not the joint space. As in WCOJ
+// evaluation, the decomposition is chosen once per query SHAPE and then
+// evaluated per instance: a structural plan (order, bags, table layouts)
+// is built from the query's structure and replayed on its values.
 #ifndef PUFFERFISH_GRAPHICAL_ELIMINATION_H_
 #define PUFFERFISH_GRAPHICAL_ELIMINATION_H_
 
@@ -43,7 +46,10 @@ struct EliminationStats {
   /// of the number of other variables in the combined factor. An induced
   /// width of w means the biggest table had <= arity^(w+1) cells.
   std::size_t induced_width = 0;
-  /// Peak bytes of simultaneously live factor tables.
+  /// Peak bytes of simultaneously live factor tables, counting each step's
+  /// full clique table (product before summing out) as live during the
+  /// step — the cost model of the plan, whether or not a kernel fills that
+  /// table in memory.
   std::size_t peak_factor_bytes = 0;
 
   /// Folds another run into this one (both fields max — the quantities
@@ -58,6 +64,8 @@ struct EliminationStats {
 /// `eliminable[v] == false` (query targets) are never removed but keep
 /// participating as neighbors. Returns the order; `induced_width` (if
 /// non-null) receives the max remaining-neighbor count at removal time.
+/// The same routine orders every elimination plan; this entry point runs
+/// it on scratch of its own.
 std::vector<int> MinFillOrder(const std::vector<std::vector<int>>& adjacency,
                               const std::vector<bool>& eliminable,
                               std::size_t* induced_width);
@@ -85,11 +93,22 @@ Result<Vector> FactorConditionalJoint(
     EliminationStats* stats = nullptr);
 
 /// \brief FactorConditionalJoint writing into a caller-retained vector
-/// (capacity reused). With the elimination backend, every intermediate —
-/// reduced tables, clique products, min-fill scratch — lives in a
-/// per-thread retained arena/pool, so a warm thread answers repeated
-/// queries with ZERO heap allocations. Results are identical to
-/// FactorConditionalJoint.
+/// (capacity reused). Results are identical to FactorConditionalJoint.
+///
+/// The elimination backend keeps one PLAN per thread: the evidence
+/// reductions, min-fill order, per-step clique layouts, output layout,
+/// limit-guard outcome and EliminationStats of a query structure. The
+/// structure is the factors' scopes and arities, `arities`, `targets`,
+/// the evidence VARIABLES (in order) and `limit`. A call whose structure
+/// equals the stored plan's exactly — compared field by field with ==,
+/// never by hash — replays the plan on its factor values and evidence
+/// values; any other call rebuilds the plan first. Replays still run every
+/// value-dependent check: evidence value ranges, conflicting duplicate
+/// evidence and zero-probability evidence (FailedPrecondition), and a
+/// deadline checkpoint before every elimination step. Plan storage and
+/// intermediate tables are retained per thread, so a warm thread answers
+/// queries — repeated, or alternating between structures — with ZERO heap
+/// allocations.
 Status FactorConditionalJointInto(
     const std::vector<Factor>& factors, const std::vector<int>& arities,
     const std::vector<int>& targets,

@@ -2,48 +2,7 @@
 
 #include <algorithm>
 
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define PF_SIMD_X86 1
-#include <immintrin.h>
-#endif
-
 namespace pf {
-
-namespace {
-
-#ifdef PF_SIMD_X86
-__attribute__((target("avx2"))) void PairwiseProductAvx2(const double* a,
-                                                         const double* b,
-                                                         double* out,
-                                                         std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(a + i),
-                                            _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
-}
-#endif
-
-// Scratch arena for the MultiplyAll wrapper's views and strides; reset per
-// call, blocks retained across calls (zero mallocs once warm).
-Arena& TlsFactorScratch() {
-  static thread_local Arena arena(1u << 12);
-  return arena;
-}
-
-}  // namespace
-
-void PairwiseProductKernel(const double* a, const double* b, double* out,
-                           std::size_t n) {
-#ifdef PF_SIMD_X86
-  if (ActiveSimdLevel() == SimdLevel::kAvx2) {
-    PairwiseProductAvx2(a, b, out, n);
-    return;
-  }
-#endif
-  for (std::size_t i = 0; i < n; ++i) out[i] = a[i] * b[i];
-}
 
 bool Factor::Contains(int var) const {
   return std::find(scope.begin(), scope.end(), var) != scope.end();
@@ -92,121 +51,51 @@ Factor Reduce(const Factor& f, int var, int value) {
   return out;
 }
 
-void MultiplyViewsInto(const FactorView* views, std::size_t num_views,
-                       const int* result_scope, const int* result_arity,
-                       std::size_t result_dims, double* out, Arena* scratch) {
-  if (result_dims == 0) {
-    double p = 1.0;
-    for (std::size_t fi = 0; fi < num_views; ++fi) p *= views[fi].values[0];
-    out[0] = p;
-    return;
-  }
-  std::size_t cells = 1;
-  for (std::size_t d = 0; d < result_dims; ++d) {
-    cells *= static_cast<std::size_t>(result_arity[d]);
-  }
-  const Arena::Checkpoint cp = scratch->Save();
-  // Per-view stride of each result digit (0 when the digit's variable is
-  // not in that view's scope), so input indices advance incrementally with
-  // the row-major walk instead of being recomputed per cell.
-  auto* stride = static_cast<std::size_t*>(
-      scratch->Allocate(num_views * result_dims * sizeof(std::size_t)));
-  for (std::size_t fi = 0; fi < num_views; ++fi) {
-    const FactorView& f = views[fi];
-    for (std::size_t d = 0; d < result_dims; ++d) {
-      std::size_t s = 0;
-      for (std::size_t p = 0; p < f.dims; ++p) {
-        if (f.scope[p] != result_scope[d]) continue;
-        s = 1;
-        for (std::size_t i = p + 1; i < f.dims; ++i) {
-          s *= static_cast<std::size_t>(f.arity[i]);
-        }
-        break;
-      }
-      stride[fi * result_dims + d] = s;
-    }
-  }
-  auto* digits =
-      static_cast<int*>(scratch->Allocate(result_dims * sizeof(int)));
-  auto* idx = static_cast<std::size_t*>(
-      scratch->Allocate(num_views * sizeof(std::size_t)));
-  for (std::size_t d = 0; d < result_dims; ++d) digits[d] = 0;
-  for (std::size_t fi = 0; fi < num_views; ++fi) idx[fi] = 0;
-  // The innermost (last) digit is peeled into a contiguous run of length
-  // k: two-view products whose inputs both walk it with stride 1 go
-  // through the vectorized pairwise kernel; everything else uses the
-  // per-cell loop over the run. Either way each output cell is the same
-  // product, in the same view order, as the historical per-cell walk.
-  const std::size_t last = result_dims - 1;
-  const std::size_t k = static_cast<std::size_t>(result_arity[last]);
-  const bool pairwise_run =
-      num_views == 2 && stride[0 * result_dims + last] == 1 &&
-      stride[1 * result_dims + last] == 1;
-  for (std::size_t cell = 0; cell < cells; cell += k) {
-    if (pairwise_run) {
-      PairwiseProductKernel(views[0].values + idx[0], views[1].values + idx[1],
-                            out + cell, k);
-    } else {
-      for (std::size_t c = 0; c < k; ++c) {
-        double p = 1.0;
-        for (std::size_t fi = 0; fi < num_views; ++fi) {
-          p *= views[fi].values[idx[fi] + c * stride[fi * result_dims + last]];
-        }
-        out[cell + c] = p;
-      }
-    }
-    // Mixed-radix increment over the outer digits (idx never accumulates
-    // the peeled last digit): bumping digit d adds stride[d]; rolling it
-    // over subtracts the full span it just walked.
-    for (std::size_t d = last; d-- > 0;) {
-      ++digits[d];
-      for (std::size_t fi = 0; fi < num_views; ++fi) {
-        idx[fi] += stride[fi * result_dims + d];
-      }
-      if (digits[d] < result_arity[d]) break;
-      digits[d] = 0;
-      for (std::size_t fi = 0; fi < num_views; ++fi) {
-        idx[fi] -=
-            stride[fi * result_dims + d] * static_cast<std::size_t>(result_arity[d]);
-      }
-    }
-  }
-  scratch->Rewind(cp);
-}
-
 Factor MultiplyAll(const std::vector<const Factor*>& factors,
                    std::vector<int> result_scope,
                    std::vector<int> result_arity) {
-  Factor out;
+  const std::size_t dims = result_scope.size();
+  const std::size_t num = factors.size();
   std::size_t cells = 1;
   for (int a : result_arity) cells *= static_cast<std::size_t>(a);
+  // Per-factor stride of each result digit (0 when the digit's variable is
+  // not in that factor's scope), so input indices advance incrementally
+  // with the row-major walk instead of being recomputed per cell.
+  std::vector<std::size_t> stride(num * dims, 0);
+  for (std::size_t fi = 0; fi < num; ++fi) {
+    const Factor& f = *factors[fi];
+    for (std::size_t d = 0; d < dims; ++d) {
+      const auto it = std::find(f.scope.begin(), f.scope.end(), result_scope[d]);
+      if (it == f.scope.end()) continue;
+      std::size_t s = 1;
+      for (std::size_t i = static_cast<std::size_t>(it - f.scope.begin()) + 1;
+           i < f.scope.size(); ++i) {
+        s *= static_cast<std::size_t>(f.arity[i]);
+      }
+      stride[fi * dims + d] = s;
+    }
+  }
+  Factor out;
+  out.values.resize(cells);
+  std::vector<std::size_t> idx(num, 0);
+  std::vector<int> digits(dims, 0);
+  for (std::size_t cell = 0; cell < cells; ++cell) {
+    double p = 1.0;
+    for (std::size_t fi = 0; fi < num; ++fi) p *= factors[fi]->values[idx[fi]];
+    out.values[cell] = p;
+    for (std::size_t d = dims; d-- > 0;) {
+      ++digits[d];
+      for (std::size_t fi = 0; fi < num; ++fi) idx[fi] += stride[fi * dims + d];
+      if (digits[d] < result_arity[d]) break;
+      digits[d] = 0;
+      for (std::size_t fi = 0; fi < num; ++fi) {
+        idx[fi] -= stride[fi * dims + d] * static_cast<std::size_t>(result_arity[d]);
+      }
+    }
+  }
   out.scope = std::move(result_scope);
   out.arity = std::move(result_arity);
-  out.values.resize(cells);
-  Arena& scratch = TlsFactorScratch();
-  const Arena::Checkpoint cp = scratch.Save();
-  auto* views = static_cast<FactorView*>(
-      scratch.Allocate(factors.size() * sizeof(FactorView)));
-  for (std::size_t fi = 0; fi < factors.size(); ++fi) {
-    views[fi].scope = factors[fi]->scope.data();
-    views[fi].arity = factors[fi]->arity.data();
-    views[fi].dims = factors[fi]->scope.size();
-    views[fi].values = factors[fi]->values.data();
-  }
-  MultiplyViewsInto(views, factors.size(), out.scope.data(), out.arity.data(),
-                    out.scope.size(), out.values.data(), &scratch);
-  scratch.Rewind(cp);
   return out;
-}
-
-void MarginalizeLastInto(const double* values, std::size_t rows,
-                         std::size_t k, double* out) {
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double* src = values + r * k;
-    double sum = 0.0;
-    for (std::size_t j = 0; j < k; ++j) sum += src[j];
-    out[r] = sum;
-  }
 }
 
 Factor MarginalizeLast(const Factor& f) {
@@ -216,7 +105,11 @@ Factor MarginalizeLast(const Factor& f) {
   const std::size_t k = static_cast<std::size_t>(f.arity.back());
   const std::size_t rows = f.size() / k;
   out.values.resize(rows);
-  MarginalizeLastInto(f.values.data(), rows, k, out.values.data());
+  for (std::size_t r = 0; r < rows; ++r) {
+    double sum = 0.0;
+    for (std::size_t j = 0; j < k; ++j) sum += f.values[r * k + j];
+    out.values[r] = sum;
+  }
   return out;
 }
 

@@ -3,22 +3,19 @@
 // joint assignment of its scope variables in mixed-radix order (first scope
 // variable most significant, matching the CPT and ConditionalJoint
 // conventions throughout the library). Variable-elimination inference
-// (graphical/elimination.h) is built from the three kernels here: product,
-// marginalization, and evidence reduction.
+// (graphical/elimination.h) performs the three operations defined here —
+// product, marginalization, and evidence reduction — over planned table
+// layouts; the Factor versions below are their reference definitions.
 //
 // Layout notes: values are a flat contiguous buffer, and the elimination
 // driver always places the variable about to be summed out LAST in the
-// scope, so marginalization reduces contiguous blocks (the same
-// cache-conscious discipline as common/matrix's blocked kernels; pairwise
-// eliminations of two 2-variable factors route through MultiplyBlocked
-// directly).
+// clique scope, so marginalization reduces contiguous blocks.
 #ifndef PUFFERFISH_GRAPHICAL_FACTOR_H_
 #define PUFFERFISH_GRAPHICAL_FACTOR_H_
 
 #include <cstddef>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/matrix.h"
 #include "common/status.h"
 
@@ -69,46 +66,6 @@ Factor MultiplyAll(const std::vector<const Factor*>& factors,
 /// (size/arity) x arity matrix. Ascending-index summation (the same order
 /// the naive matrix kernel uses).
 Factor MarginalizeLast(const Factor& f);
-
-// ----------------------------------------------------------------------
-// Raw-buffer kernels: the same three operations over borrowed storage, so
-// the elimination hot path can run them over arena-backed tables with zero
-// heap allocations. Results are cell-for-cell identical to the Factor
-// versions above (which are now wrappers).
-// ----------------------------------------------------------------------
-
-/// \brief The vectorized pairwise factor-product kernel: elementwise
-/// out[i] = a[i] * b[i], dispatched over SimdLevel (AVX2 when available).
-/// Bit-exact at every level — each output cell is a single multiplication,
-/// so there is no summation order to preserve. out must not overlap a/b.
-void PairwiseProductKernel(const double* a, const double* b, double* out,
-                           std::size_t n);
-
-/// A borrowed view of one factor table (scope/arity/values live elsewhere,
-/// e.g. in an arena).
-struct FactorView {
-  const int* scope = nullptr;
-  const int* arity = nullptr;
-  std::size_t dims = 0;
-  const double* values = nullptr;
-};
-
-/// \brief Raw core of MultiplyAll: writes the product of `views` laid out
-/// over (result_scope, result_arity, result_dims) into `out`, which the
-/// caller sizes to the product of the result arities. Stride/digit scratch
-/// comes from `scratch` and is rewound before returning, so warm calls
-/// allocate nothing. The innermost result digit runs through the pairwise
-/// kernel when both inputs walk it contiguously (two-view products — the
-/// dominant elimination shape); cell values are identical to MultiplyAll
-/// either way.
-void MultiplyViewsInto(const FactorView* views, std::size_t num_views,
-                       const int* result_scope, const int* result_arity,
-                       std::size_t result_dims, double* out, Arena* scratch);
-
-/// \brief Raw core of MarginalizeLast: row-sums `values`, viewed as a
-/// rows x k matrix, into out[0..rows) (ascending-index summation).
-void MarginalizeLastInto(const double* values, std::size_t rows,
-                         std::size_t k, double* out);
 
 }  // namespace pf
 

@@ -92,11 +92,11 @@ Result<QuiltScore> ScoreNodeFactors(
     InferenceBackend backend, EliminationStats* stats) {
   QuiltScore best;
   best.score = kInf;
-  // Per-quilt cancellation checkpoint: each influence evaluation can cost
-  // O(k^width), and ParallelFor re-installs the submitting request's
-  // deadline in the workers, so this fires inside the parallel node scan.
-  PF_RETURN_NOT_OK(CheckDeadline("quilt scoring"));
   for (const MarkovQuilt& quilt : quilt_set) {
+    // Per-quilt cancellation checkpoint: each influence evaluation can cost
+    // O(k^width), and ParallelFor re-installs the submitting request's
+    // deadline in the workers, so this fires inside the parallel node scan.
+    PF_RETURN_NOT_OK(CheckDeadline("quilt scoring"));
     PF_ASSIGN_OR_RETURN(
         double e,
         QuiltMaxInfluenceFactors(theta_factors, arities, quilt, limit,
@@ -331,14 +331,17 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
     return EnumerationGuardError(options.enumeration_limit);
   }
   // Phase 1: every node's canonical rooted form — pure per node, so the
-  // construction fans out.
+  // construction fans out over one shared canonicalizer. The factor tables
+  // are left out: only the classes' representatives need them.
+  const NodeCanonicalizer canonicalizer(thetas, graph);
   std::vector<NodeCanonicalForm> forms(n);
   ParallelFor(options.num_threads, n, [&](std::size_t i) {
-    forms[i] = CanonicalizeNode(thetas, graph, static_cast<int>(i));
+    forms[i] = canonicalizer.Canonicalize(static_cast<int>(i));
   });
   // Phase 2: group nodes into classes, sequentially (deterministic class
   // ids and representatives for every thread count). The hash only routes
-  // to a bucket; membership is decided by the exact form comparison.
+  // to a bucket; membership is decided by the exact form comparison, for
+  // which a representative's factors are built on first use.
   std::vector<std::size_t> class_of(n, 0);
   std::vector<std::size_t> representative;
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
@@ -348,7 +351,8 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
       // Bucket members are representative node ids; the exact compare is
       // against the representative's full form.
       for (std::size_t candidate : buckets[forms[i].key]) {
-        if (forms[i].SameProblem(forms[candidate])) {
+        canonicalizer.Materialize(&forms[candidate]);
+        if (canonicalizer.SameProblem(forms[i], forms[candidate])) {
           cls = class_of[candidate];
           break;
         }
@@ -368,8 +372,9 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
   std::atomic<bool> failed{false};
   ParallelFor(options.num_threads, num_classes, [&](std::size_t c) {
     if (failed.load(std::memory_order_relaxed)) return;
-    scored[c] = ScoreCanonical(forms[representative[c]], epsilon, options,
-                               search, backend);
+    NodeCanonicalForm& form = forms[representative[c]];
+    canonicalizer.Materialize(&form);
+    scored[c] = ScoreCanonical(form, epsilon, options, search, backend);
     if (!scored[c].ok()) failed.store(true, std::memory_order_relaxed);
   });
   PF_RETURN_NOT_OK(FirstRealError(scored));

@@ -31,81 +31,185 @@ std::vector<std::uint64_t> InitialColors(
   return colors;
 }
 
-// Dense ranks of a color vector (sorted-unique position). Iso-invariant:
-// equal colors share a rank, and ranks only depend on the color multiset.
-std::vector<std::uint64_t> DenseRanks(const std::vector<std::uint64_t>& colors,
-                                      std::size_t* num_classes) {
-  std::vector<std::uint64_t> sorted = colors;
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  std::vector<std::uint64_t> ranks(colors.size());
-  for (std::size_t v = 0; v < colors.size(); ++v) {
-    ranks[v] = static_cast<std::uint64_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), colors[v]) -
-        sorted.begin());
+// Dense ranks of a color vector (sorted-unique position), written into
+// `ranks` with `sorted` as scratch. Iso-invariant: equal colors share a
+// rank, and ranks only depend on the color multiset. Returns the number of
+// distinct colors.
+std::vector<int> Inverse(const std::vector<int>& order) {
+  std::vector<int> inv(order.size(), 0);
+  for (std::size_t v = 0; v < order.size(); ++v) {
+    inv[static_cast<std::size_t>(order[v])] = static_cast<int>(v);
   }
-  *num_classes = sorted.size();
-  return ranks;
+  return inv;
 }
 
-// Permutes a factor's scope to positions `perm` (perm[i] = old position of
-// the new i-th scope variable), moving the value table to match. Pure data
-// movement — every output cell is a copy of an input cell.
-Factor PermuteFactor(const Factor& f, const std::vector<std::size_t>& perm) {
-  Factor out;
-  const std::size_t dims = f.scope.size();
-  out.scope.resize(dims);
-  out.arity.resize(dims);
-  for (std::size_t d = 0; d < dims; ++d) {
-    out.scope[d] = f.scope[perm[d]];
-    out.arity[d] = f.arity[perm[d]];
+std::size_t DenseRanksInto(const std::vector<std::uint64_t>& colors,
+                           std::vector<std::uint64_t>* sorted,
+                           std::vector<std::uint64_t>* ranks) {
+  sorted->assign(colors.begin(), colors.end());
+  std::sort(sorted->begin(), sorted->end());
+  sorted->erase(std::unique(sorted->begin(), sorted->end()), sorted->end());
+  ranks->resize(colors.size());
+  for (std::size_t v = 0; v < colors.size(); ++v) {
+    (*ranks)[v] = static_cast<std::uint64_t>(
+        std::lower_bound(sorted->begin(), sorted->end(), colors[v]) -
+        sorted->begin());
   }
-  // Stride of each OLD position, then walk the new table in row-major
-  // order reading through the permutation.
-  std::vector<std::size_t> old_stride(dims, 1);
-  for (std::size_t d = dims; d-- > 1;) {
-    old_stride[d - 1] =
-        old_stride[d] * static_cast<std::size_t>(f.arity[d]);
+  return sorted->size();
+}
+
+// Word-at-a-time hasher for the class key. The key only routes nodes to
+// buckets inside one analysis (membership is decided by SameProblem, and
+// the key is never stored), so it needs no stable byte-wise definition.
+class KeyHasher {
+ public:
+  void Add(std::uint64_t v) {
+    hash_ = (hash_ ^ v) * 0x9E3779B97F4A7C15u;
+    hash_ ^= hash_ >> 29;
   }
-  out.values.assign(f.size(), 0.0);
-  std::vector<int> digits(dims, 0);
-  for (std::size_t cell = 0; cell < out.values.size(); ++cell) {
-    std::size_t src = 0;
+  void Add(int v) {
+    Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(v)));
+  }
+  void Add(double v) { Add(DoubleBits(v)); }
+  std::uint64_t hash() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325u;
+};
+
+// One theta's CPT factors relabeled for one target, without copying a
+// table. Entry k — in ascending order of canonical scope — is source
+// factor source[k] with its scope renumbered to canonical ids and sorted
+// ascending (so factors that merely list the same variables in a different
+// stored-parent order compare equal); its scope and arity sit at
+// [begin[k], begin[k + 1]) and its cells at [cell_begin[k],
+// cell_begin[k + 1]) of `cell`, each the index of the source cell it
+// copies (pure data movement, no arithmetic).
+struct RelabeledFactors {
+  std::vector<std::size_t> source, begin, cell_begin, cell;
+  std::vector<int> scope, arity;
+  // Build scratch: per source factor, its sorted canonical scope and the
+  // permutation (perm[i] = old position of the new i-th variable).
+  std::vector<int> sorted;
+  std::vector<std::size_t> sorted_begin, perm, stride;
+  std::vector<int> digits;
+
+  void Build(const std::vector<Factor>& factors, const std::vector<int>& inv);
+};
+
+void RelabeledFactors::Build(
+    const std::vector<Factor>& factors, const std::vector<int>& inv) {
+  sorted.clear();
+  perm.clear();
+  sorted_begin.assign(1, 0);
+  for (const Factor& f : factors) {
+    const std::size_t first = perm.size();
+    for (std::size_t d = 0; d < f.scope.size(); ++d) perm.push_back(d);
+    const auto canonical = [&](std::size_t d) {
+      return inv[static_cast<std::size_t>(f.scope[d])];
+    };
+    std::sort(perm.begin() + static_cast<std::ptrdiff_t>(first), perm.end(),
+              [&](std::size_t a, std::size_t b) {
+                return canonical(a) < canonical(b);
+              });
+    for (std::size_t i = first; i < perm.size(); ++i) {
+      sorted.push_back(canonical(perm[i]));
+    }
+    sorted_begin.push_back(sorted.size());
+  }
+  // CPT scopes are distinct as sets (equal sets would imply a parent
+  // cycle), so ordering by canonical scope is strict and canonical.
+  source.resize(factors.size());
+  for (std::size_t i = 0; i < source.size(); ++i) source[i] = i;
+  const auto scope_of = [this](std::size_t f, std::size_t end) {
+    return sorted.begin() + static_cast<std::ptrdiff_t>(sorted_begin[f + end]);
+  };
+  std::sort(source.begin(), source.end(), [&](std::size_t a, std::size_t b) {
+    return std::lexicographical_compare(scope_of(a, 0), scope_of(a, 1),
+                                        scope_of(b, 0), scope_of(b, 1));
+  });
+  scope.clear();
+  arity.clear();
+  cell.clear();
+  begin.assign(1, 0);
+  cell_begin.assign(1, 0);
+  for (const std::size_t f : source) {
+    const Factor& src = factors[f];
+    const std::size_t first = sorted_begin[f];
+    const std::size_t dims = sorted_begin[f + 1] - first;
+    bool identity = true;
     for (std::size_t d = 0; d < dims; ++d) {
-      src += old_stride[perm[d]] * static_cast<std::size_t>(digits[d]);
+      scope.push_back(sorted[first + d]);
+      arity.push_back(src.arity[perm[first + d]]);
+      identity &= perm[first + d] == d;
     }
-    out.values[cell] = f.values[src];
-    for (std::size_t d = dims; d-- > 0;) {
-      if (++digits[d] < out.arity[d]) break;
-      digits[d] = 0;
+    begin.push_back(scope.size());
+    if (identity) {
+      for (std::size_t c = 0; c < src.size(); ++c) cell.push_back(c);
+    } else {
+      // Stride of each OLD position, then walk the new table in row-major
+      // order reading through the permutation.
+      stride.assign(dims, 1);
+      for (std::size_t d = dims; d-- > 1;) {
+        stride[d - 1] = stride[d] * static_cast<std::size_t>(src.arity[d]);
+      }
+      const int* new_arity = arity.data() + (arity.size() - dims);
+      digits.assign(dims, 0);
+      for (std::size_t c = 0; c < src.size(); ++c) {
+        std::size_t at = 0;
+        for (std::size_t d = 0; d < dims; ++d) {
+          at += stride[perm[first + d]] * static_cast<std::size_t>(digits[d]);
+        }
+        cell.push_back(at);
+        for (std::size_t d = dims; d-- > 0;) {
+          if (++digits[d] < new_arity[d]) break;
+          digits[d] = 0;
+        }
+      }
     }
+    cell_begin.push_back(cell.size());
   }
-  return out;
+}
+
+// The calling thread's relabeling scratch; its buffers keep their capacity
+// from one target to the next.
+RelabeledFactors& ThreadRelabeled() {
+  static thread_local RelabeledFactors relabeled;
+  return relabeled;
 }
 
 }  // namespace
 
-std::vector<int> CanonicalNodeOrder(const std::vector<BayesianNetwork>& thetas,
-                                    const MoralGraph& graph, int target) {
-  const std::size_t n = graph.num_nodes();
-  std::vector<int> dist = graph.Distances(target);
+NodeCanonicalizer::NodeCanonicalizer(const std::vector<BayesianNetwork>& thetas,
+                                     const MoralGraph& graph)
+    : graph_(graph), arities_(thetas.front().Arities()) {
+  std::vector<std::uint64_t> sorted;
+  initial_classes_ =
+      DenseRanksInto(InitialColors(thetas, graph), &sorted, &initial_ranks_);
+  theta_factors_.reserve(thetas.size());
+  for (const BayesianNetwork& bn : thetas) theta_factors_.push_back(bn.Factors());
+}
+
+std::vector<int> NodeCanonicalizer::Order(int target) const {
+  const std::size_t n = graph_.num_nodes();
+  std::vector<int> dist = graph_.Distances(target);
   for (int& d : dist) {
     if (d < 0) d = static_cast<int>(n);  // Other components sort last.
   }
   // Weisfeiler-Leman refinement of (distance, attributes): iterate until
   // the partition stops splitting (refinement is monotone, so an unchanged
-  // class count means a stable partition), capped at n rounds.
-  std::size_t num_classes = 0;
-  std::vector<std::uint64_t> colors =
-      DenseRanks(InitialColors(thetas, graph), &num_classes);
+  // class count means a stable partition), capped at n rounds. The round
+  // buffers are reused across rounds.
+  std::size_t num_classes = initial_classes_;
+  std::vector<std::uint64_t> colors = initial_ranks_;
+  std::vector<std::uint64_t> next(n), ranks, sorted, around;
   for (std::size_t round = 0; round < n; ++round) {
-    std::vector<std::uint64_t> next(n);
     for (std::size_t v = 0; v < n; ++v) {
       Fingerprint fp;
       fp.Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(dist[v])));
       fp.Add(colors[v]);
-      std::vector<std::uint64_t> around;
-      for (int w : graph.neighbors(static_cast<int>(v))) {
+      around.clear();
+      for (int w : graph_.neighbors(static_cast<int>(v))) {
         around.push_back(colors[static_cast<std::size_t>(w)]);
       }
       std::sort(around.begin(), around.end());
@@ -113,11 +217,10 @@ std::vector<int> CanonicalNodeOrder(const std::vector<BayesianNetwork>& thetas,
       for (std::uint64_t c : around) fp.Add(c);
       next[v] = fp.hash();
     }
-    std::size_t refined = 0;
-    next = DenseRanks(next, &refined);
+    const std::size_t refined = DenseRanksInto(next, &sorted, &ranks);
     if (refined == num_classes) break;
     num_classes = refined;
-    colors = std::move(next);
+    colors.swap(ranks);
   }
   std::vector<int> order(n);
   for (std::size_t v = 0; v < n; ++v) order[v] = static_cast<int>(v);
@@ -131,66 +234,121 @@ std::vector<int> CanonicalNodeOrder(const std::vector<BayesianNetwork>& thetas,
   return order;
 }
 
-NodeCanonicalForm CanonicalizeNode(const std::vector<BayesianNetwork>& thetas,
-                                   const MoralGraph& graph, int target) {
+NodeCanonicalForm NodeCanonicalizer::Canonicalize(int target) const {
   NodeCanonicalForm form;
-  form.order = CanonicalNodeOrder(thetas, graph, target);
+  form.order = Order(target);
   const std::size_t n = form.order.size();
-  std::vector<int> inv(n, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    inv[static_cast<std::size_t>(form.order[v])] = static_cast<int>(v);
-  }
+  const std::vector<int> inv = Inverse(form.order);
   form.arities.resize(n);
   form.adjacency.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
     const std::size_t old_v = static_cast<std::size_t>(form.order[v]);
-    form.arities[v] = thetas.front().node(old_v).arity;
-    for (int w : graph.neighbors(static_cast<int>(old_v))) {
+    form.arities[v] = arities_[old_v];
+    for (int w : graph_.neighbors(static_cast<int>(old_v))) {
       form.adjacency[v].push_back(inv[static_cast<std::size_t>(w)]);
     }
     std::sort(form.adjacency[v].begin(), form.adjacency[v].end());
   }
-  form.factors.reserve(thetas.size());
-  for (const BayesianNetwork& bn : thetas) {
-    std::vector<Factor> relabeled = bn.Factors();
-    for (Factor& f : relabeled) {
-      for (int& v : f.scope) v = inv[static_cast<std::size_t>(v)];
-      // Normalize the scope to ascending canonical ids so factors that
-      // merely list the same variables in a different stored-parent order
-      // compare (and hash) equal.
-      std::vector<std::size_t> perm(f.scope.size());
-      for (std::size_t d = 0; d < perm.size(); ++d) perm[d] = d;
-      std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
-        return f.scope[a] < f.scope[b];
-      });
-      bool identity = true;
-      for (std::size_t d = 0; d < perm.size(); ++d) identity &= perm[d] == d;
-      if (!identity) f = PermuteFactor(f, perm);
-    }
-    // CPT scopes are distinct as sets (equal sets would imply a parent
-    // cycle), so sorting by scope is a strict, canonical order.
-    std::sort(relabeled.begin(), relabeled.end(),
-              [](const Factor& a, const Factor& b) { return a.scope < b.scope; });
-    form.factors.push_back(std::move(relabeled));
-  }
-  Fingerprint fp;
-  fp.Add(n);
-  for (int a : form.arities) fp.Add(a);
+  KeyHasher key;
+  key.Add(n);
+  for (int a : form.arities) key.Add(a);
   for (const std::vector<int>& adj : form.adjacency) {
-    fp.Add(adj.size());
-    for (int w : adj) fp.Add(w);
+    key.Add(adj.size());
+    for (int w : adj) key.Add(w);
   }
-  fp.Add(form.factors.size());
-  for (const std::vector<Factor>& theta : form.factors) {
-    fp.Add(theta.size());
-    for (const Factor& f : theta) {
-      fp.Add(f.scope.size());
-      for (int v : f.scope) fp.Add(v);
-      for (int a : f.arity) fp.Add(a);
-      for (double x : f.values) fp.Add(x);
+  key.Add(theta_factors_.size());
+  RelabeledFactors& relabeled = ThreadRelabeled();
+  for (const std::vector<Factor>& factors : theta_factors_) {
+    relabeled.Build(factors, inv);
+    key.Add(factors.size());
+    for (std::size_t k = 0; k < relabeled.source.size(); ++k) {
+      const Vector& values = factors[relabeled.source[k]].values;
+      key.Add(relabeled.begin[k + 1] - relabeled.begin[k]);
+      for (std::size_t d = relabeled.begin[k]; d < relabeled.begin[k + 1]; ++d) {
+        key.Add(relabeled.scope[d]);
+        key.Add(relabeled.arity[d]);
+      }
+      for (std::size_t c = relabeled.cell_begin[k];
+           c < relabeled.cell_begin[k + 1]; ++c) {
+        key.Add(values[relabeled.cell[c]]);
+      }
     }
   }
-  form.key = fp.hash();
+  form.key = key.hash();
+  return form;
+}
+
+void NodeCanonicalizer::Materialize(NodeCanonicalForm* form) const {
+  if (!form->factors.empty()) return;
+  const std::vector<int> inv = Inverse(form->order);
+  RelabeledFactors& relabeled = ThreadRelabeled();
+  form->factors.reserve(theta_factors_.size());
+  for (const std::vector<Factor>& factors : theta_factors_) {
+    relabeled.Build(factors, inv);
+    std::vector<Factor> out(factors.size());
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      const Vector& values = factors[relabeled.source[k]].values;
+      out[k].scope.assign(relabeled.scope.begin() + relabeled.begin[k],
+                          relabeled.scope.begin() + relabeled.begin[k + 1]);
+      out[k].arity.assign(relabeled.arity.begin() + relabeled.begin[k],
+                          relabeled.arity.begin() + relabeled.begin[k + 1]);
+      const std::size_t first = relabeled.cell_begin[k];
+      const std::size_t last = relabeled.cell_begin[k + 1];
+      out[k].values.resize(last - first);
+      for (std::size_t c = first; c < last; ++c) {
+        out[k].values[c - first] = values[relabeled.cell[c]];
+      }
+    }
+    form->factors.push_back(std::move(out));
+  }
+}
+
+bool NodeCanonicalizer::SameProblem(const NodeCanonicalForm& form,
+                                    const NodeCanonicalForm& full) const {
+  if (!form.factors.empty()) return form.SameProblem(full);
+  if (form.arities != full.arities || form.adjacency != full.adjacency ||
+      full.factors.size() != theta_factors_.size()) {
+    return false;
+  }
+  const std::vector<int> inv = Inverse(form.order);
+  RelabeledFactors& relabeled = ThreadRelabeled();
+  for (std::size_t t = 0; t < theta_factors_.size(); ++t) {
+    const std::vector<Factor>& factors = theta_factors_[t];
+    const std::vector<Factor>& other = full.factors[t];
+    if (other.size() != factors.size()) return false;
+    relabeled.Build(factors, inv);
+    for (std::size_t k = 0; k < other.size(); ++k) {
+      const Vector& values = factors[relabeled.source[k]].values;
+      const auto s0 = relabeled.scope.begin() + relabeled.begin[k];
+      const auto s1 = relabeled.scope.begin() + relabeled.begin[k + 1];
+      const auto a0 = relabeled.arity.begin() + relabeled.begin[k];
+      const auto a1 = relabeled.arity.begin() + relabeled.begin[k + 1];
+      if (!std::equal(s0, s1, other[k].scope.begin(), other[k].scope.end()) ||
+          !std::equal(a0, a1, other[k].arity.begin(), other[k].arity.end()) ||
+          relabeled.cell_begin[k + 1] - relabeled.cell_begin[k] !=
+              other[k].values.size()) {
+        return false;
+      }
+      // Bitwise, as in NodeCanonicalForm::SameProblem.
+      for (std::size_t c = 0; c < other[k].values.size(); ++c) {
+        const double v = values[relabeled.cell[relabeled.cell_begin[k] + c]];
+        if (DoubleBits(v) != DoubleBits(other[k].values[c])) return false;
+      }
+    }
+  }
+  return true;
+}
+
+std::vector<int> CanonicalNodeOrder(const std::vector<BayesianNetwork>& thetas,
+                                    const MoralGraph& graph, int target) {
+  return NodeCanonicalizer(thetas, graph).Order(target);
+}
+
+NodeCanonicalForm CanonicalizeNode(const std::vector<BayesianNetwork>& thetas,
+                                   const MoralGraph& graph, int target) {
+  const NodeCanonicalizer canonicalizer(thetas, graph);
+  NodeCanonicalForm form = canonicalizer.Canonicalize(target);
+  canonicalizer.Materialize(&form);
   return form;
 }
 

@@ -46,30 +46,69 @@ struct NodeCanonicalForm {
   std::vector<std::vector<int>> adjacency;
   /// Per theta: the network's CPT factors with scopes renumbered and
   /// normalized to ascending canonical ids (table permuted to match — pure
-  /// data movement, no arithmetic), the list sorted by scope.
+  /// data movement, no arithmetic), the list sorted by scope. Empty until
+  /// NodeCanonicalizer::Materialize fills it in.
   std::vector<std::vector<Factor>> factors;
-  /// Cheap class key: fingerprint of everything above except `order`.
+  /// Cheap class key: fingerprint of everything above except `order`
+  /// (the factors hashed whether or not they are materialized).
   std::uint64_t key = 0;
 
-  /// Exact class-membership check: byte equality of arities, adjacency,
-  /// and every factor (scope, arity, and value BITS) — the relabelings
-  /// (`order`) may differ, that is the point.
+  /// Exact class-membership check of two materialized forms: byte equality
+  /// of arities, adjacency, and every factor (scope, arity, and value
+  /// BITS) — the relabelings (`order`) may differ, that is the point.
   bool SameProblem(const NodeCanonicalForm& other) const;
 };
 
-/// \brief The canonical order rooted at `target`: nodes sorted by
-/// (BFS distance from target, refined color, original id). The color is an
-/// iterated Weisfeiler-Leman refinement seeded with label-independent node
-/// attributes (arity, degree, CPT bytes per theta), so structurally
-/// interchangeable nodes tie — and ties between genuinely automorphic
-/// nodes are harmless, any resolution yields the same canonical bytes.
-/// Nodes in other components sort after the target's component (distance
-/// treated as num_nodes).
+/// \brief Canonicalizes the nodes of one network class. The
+/// root-independent work — the initial color ranks and every theta's CPT
+/// factors — is done once at construction and shared by every target.
+/// `thetas` and `graph` (their union moral graph) must outlive the object;
+/// the const methods may run concurrently.
+class NodeCanonicalizer {
+ public:
+  NodeCanonicalizer(const std::vector<BayesianNetwork>& thetas,
+                    const MoralGraph& graph);
+
+  /// The canonical order rooted at `target`: nodes sorted by (BFS distance
+  /// from target, refined color, original id). The color is an iterated
+  /// Weisfeiler-Leman refinement seeded with label-independent node
+  /// attributes (arity, degree, CPT bytes per theta), so structurally
+  /// interchangeable nodes tie — and ties between genuinely automorphic
+  /// nodes are harmless, any resolution yields the same canonical bytes.
+  /// Nodes in other components sort after the target's component
+  /// (distance treated as num_nodes).
+  std::vector<int> Order(int target) const;
+
+  /// The canonical form of `target`'s scoring problem WITHOUT its factor
+  /// tables (`factors` stays empty; everything else, the key included, is
+  /// filled). That is all grouping nodes into classes needs (SameProblem
+  /// below); Materialize adds the tables for the classes that get scored.
+  NodeCanonicalForm Canonicalize(int target) const;
+
+  /// Fills in the factor tables of a form from Canonicalize (no-op when
+  /// they are present).
+  void Materialize(NodeCanonicalForm* form) const;
+
+  /// NodeCanonicalForm::SameProblem for a `form` whose tables may not be
+  /// materialized, against a materialized `full` form of this class: the
+  /// tables are compared cell by cell (bitwise) without being built.
+  bool SameProblem(const NodeCanonicalForm& form,
+                   const NodeCanonicalForm& full) const;
+
+ private:
+  const MoralGraph& graph_;
+  std::vector<int> arities_;
+  std::size_t initial_classes_ = 0;
+  std::vector<std::uint64_t> initial_ranks_;
+  std::vector<std::vector<Factor>> theta_factors_;
+};
+
+/// \brief NodeCanonicalizer(thetas, graph).Order(target).
 std::vector<int> CanonicalNodeOrder(const std::vector<BayesianNetwork>& thetas,
                                     const MoralGraph& graph, int target);
 
-/// \brief Builds the canonical form of `target`'s scoring problem. `graph`
-/// must be the (union) moral graph of `thetas`.
+/// \brief The materialized NodeCanonicalizer(thetas, graph) form of
+/// `target`. `graph` must be the (union) moral graph of `thetas`.
 NodeCanonicalForm CanonicalizeNode(const std::vector<BayesianNetwork>& thetas,
                                    const MoralGraph& graph, int target);
 

@@ -13,7 +13,9 @@
 #include <cstddef>
 #include <vector>
 
+#include "common/fingerprint.h"
 #include "common/parallel.h"
+#include "data/topologies.h"
 #include "engine/engine.h"
 #include "graphical/markov_chain.h"
 #include "pufferfish/analysis_cache.h"
@@ -178,6 +180,49 @@ TEST(DeadlineTest, CancelledExtensionLeavesCacheConsistent) {
   AnalysisCache clean;
   EXPECT_EQ(retried.value()->sigma,
             clean.GetOrAnalyze(at70, 1.0).ValueOrDie()->sigma);
+}
+
+// The network-class (Algorithm 2) path: a deadline expiring part-way
+// through the quilt scoring of a 127-node tree cancels at a per-quilt
+// checkpoint, leaves no plan resident, and the retry is bit-identical to a
+// never-cancelled cold analysis — every node's score, influence and quilt.
+TEST(DeadlineTest, NetworkClassCancelledMidAnalysisLeavesCacheConsistent) {
+  const BayesianNetwork tree =
+      TreeNetwork(127, 2, BinaryRoot(0.3), BinaryNoisyCopyCpt(0.25))
+          .ValueOrDie();
+  // Every node scored (no class dedup) on one thread: tens of
+  // milliseconds of scoring, so a 1 ms deadline expires mid-analysis.
+  MqmAnalyzeOptions options;
+  options.dedup_nodes = false;
+  options.num_threads = 1;
+  const MqmGeneralUnified mechanism({tree}, options);
+
+  AnalysisCache clean;
+  const auto reference = clean.GetOrAnalyze(mechanism, 1.0).ValueOrDie();
+
+  AnalysisCache cache;
+  for (const Deadline deadline : {Deadline::Expired(), Deadline::After(1)}) {
+    DeadlineScope scope(deadline);
+    const auto cancelled = cache.GetOrAnalyze(mechanism, 1.0);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_FALSE(cache.Contains(mechanism, 1.0))
+        << "a cancelled analysis must not leave a partial plan resident";
+  }
+  const auto retried = cache.GetOrAnalyze(mechanism, 1.0);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  const MqmAnalysis& a = retried.value()->mqm;
+  const MqmAnalysis& b = reference->mqm;
+  EXPECT_EQ(DoubleBits(retried.value()->sigma), DoubleBits(reference->sigma));
+  EXPECT_EQ(a.induced_width, b.induced_width);
+  EXPECT_EQ(a.memory.peak_bytes, b.memory.peak_bytes);
+  ASSERT_EQ(a.active.size(), b.active.size());
+  for (std::size_t i = 0; i < a.active.size(); ++i) {
+    EXPECT_EQ(DoubleBits(a.active[i].score), DoubleBits(b.active[i].score));
+    EXPECT_EQ(DoubleBits(a.active[i].influence),
+              DoubleBits(b.active[i].influence));
+    EXPECT_EQ(a.active[i].quilt.quilt, b.active[i].quilt.quilt) << "node " << i;
+  }
 }
 
 // ------------------------------------------------ engine + session ---------

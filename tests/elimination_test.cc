@@ -4,7 +4,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <set>
+#include <thread>
 
+#include "common/fingerprint.h"
 #include "common/random.h"
 #include "data/topologies.h"
 #include "graphical/bayesian_network.h"
@@ -87,6 +90,78 @@ TEST(MinFillTest, OrderIsDeterministicAndSkipsProtectedVertices) {
       MinFillOrder(triangle, {true, false, true}, nullptr);
   EXPECT_EQ(keep1.size(), 2u);
   for (int v : keep1) EXPECT_NE(v, 1);
+}
+
+// The textbook min-fill: every step rescans every remaining vertex's
+// fill-in over std::set neighborhoods. MinFillOrder recounts incrementally
+// and must pick the same vertex at every step.
+std::vector<int> ReferenceMinFillOrder(
+    const std::vector<std::vector<int>>& adjacency,
+    const std::vector<bool>& eliminable, std::size_t* width) {
+  const std::size_t n = adjacency.size();
+  std::vector<std::set<int>> adj(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (int w : adjacency[v]) {
+      if (w == static_cast<int>(v)) continue;
+      adj[v].insert(w);
+      adj[static_cast<std::size_t>(w)].insert(static_cast<int>(v));
+    }
+  }
+  std::vector<bool> removed(n, false);
+  std::vector<int> order;
+  *width = 0;
+  while (true) {
+    int best = -1;
+    std::size_t best_fill = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      if (!eliminable[v] || removed[v]) continue;
+      std::size_t fill = 0;
+      for (int a : adj[v]) {
+        for (int b : adj[v]) {
+          if (a < b && adj[static_cast<std::size_t>(a)].count(b) == 0) ++fill;
+        }
+      }
+      if (best < 0 || fill < best_fill) {
+        best = static_cast<int>(v);
+        best_fill = fill;
+      }
+    }
+    if (best < 0) return order;
+    const std::set<int> nb = adj[static_cast<std::size_t>(best)];
+    *width = std::max(*width, nb.size());
+    for (int a : nb) {
+      for (int b : nb) {
+        if (a != b) adj[static_cast<std::size_t>(a)].insert(b);
+      }
+      adj[static_cast<std::size_t>(a)].erase(best);
+    }
+    adj[static_cast<std::size_t>(best)].clear();
+    removed[static_cast<std::size_t>(best)] = true;
+    order.push_back(best);
+  }
+}
+
+TEST(MinFillTest, IncrementalOrderMatchesFullRescan) {
+  Rng rng(1234);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 2 + static_cast<std::size_t>(rng.Uniform() * 28);
+    const double density = 0.05 + 0.4 * rng.Uniform();
+    std::vector<std::vector<int>> adjacency(n);
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (rng.Uniform() >= density) continue;
+        adjacency[a].push_back(static_cast<int>(b));
+        adjacency[b].push_back(static_cast<int>(a));
+      }
+    }
+    std::vector<bool> eliminable(n);
+    for (std::size_t v = 0; v < n; ++v) eliminable[v] = rng.Uniform() < 0.8;
+    std::size_t width = 0, reference_width = 0;
+    EXPECT_EQ(MinFillOrder(adjacency, eliminable, &width),
+              ReferenceMinFillOrder(adjacency, eliminable, &reference_width))
+        << "trial " << trial;
+    EXPECT_EQ(width, reference_width) << "trial " << trial;
+  }
 }
 
 // ------------------------------- elimination vs enumeration (property) ----
@@ -263,6 +338,138 @@ TEST(EliminationTest, StatsReportWidthAndPeakBytes) {
   merged.MergeMax(bigger);
   EXPECT_EQ(merged.induced_width, 99u);
   EXPECT_EQ(merged.peak_factor_bytes, stats.peak_factor_bytes);
+}
+
+// ------------------------------------------------------------ plan reuse ----
+
+// Each thread keeps one elimination plan, reused while the query structure
+// matches; a query on a fresh thread is therefore a fresh plan build.
+Result<Vector> FreshThreadQuery(const std::vector<Factor>& factors,
+                                const std::vector<int>& arities,
+                                const std::vector<int>& targets,
+                                const std::vector<std::pair<int, int>>& evidence,
+                                std::size_t limit, EliminationStats* stats) {
+  Result<Vector> out = Status::Internal("not run");
+  std::thread worker([&] {
+    out = FactorConditionalJoint(factors, arities, targets, evidence, limit,
+                                 InferenceBackend::kVariableElimination, stats);
+  });
+  worker.join();
+  return out;
+}
+
+void ExpectBitwiseEqual(const Vector& a, const Vector& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(DoubleBits(a[i]), DoubleBits(b[i])) << "cell " << i;
+  }
+}
+
+TEST(EliminationPlanTest, InterleavedStructuresMatchFreshCalls) {
+  Rng rng(404);
+  const BayesianNetwork grid =
+      Randomized(GridNetwork(3, 3, {0.5, 0.5}, BinaryNoisyCopyCpt(0.25),
+                             BinaryNoisyOrCpt(0.25))
+                     .ValueOrDie(),
+                 &rng);
+  const std::vector<Factor> factors = grid.Factors();
+  const std::vector<int> arities = grid.Arities();
+  struct Query {
+    std::vector<int> targets;
+    std::vector<std::pair<int, int>> evidence;
+  };
+  // A and A' share a structure (only the evidence value differs); the
+  // others differ from A in one structural field each. Duplicate and
+  // pinned targets exercise the output layout too.
+  const Query a{{2, 6}, {{0, 1}}};
+  const Query a_other_value{{2, 6}, {{0, 0}}};
+  const Query other_evidence_var{{2, 6}, {{1, 1}}};
+  const Query other_targets{{2, 7}, {{0, 1}}};
+  const Query b{{4, 4, 8}, {{8, 1}, {3, 0}}};
+  for (const Query* q : {&a, &b, &a, &a_other_value, &other_evidence_var, &a,
+                         &other_targets, &a, &b, &a}) {
+    EliminationStats reused_stats, fresh_stats;
+    const Vector reused =
+        FactorConditionalJoint(factors, arities, q->targets, q->evidence,
+                               1u << 20, InferenceBackend::kVariableElimination,
+                               &reused_stats)
+            .ValueOrDie();
+    const Vector fresh = FreshThreadQuery(factors, arities, q->targets,
+                                          q->evidence, 1u << 20, &fresh_stats)
+                             .ValueOrDie();
+    ExpectBitwiseEqual(reused, fresh);
+    EXPECT_EQ(reused_stats.induced_width, fresh_stats.induced_width);
+    EXPECT_EQ(reused_stats.peak_factor_bytes, fresh_stats.peak_factor_bytes);
+  }
+}
+
+TEST(EliminationPlanTest, ReusedStructureStillHonorsASmallerLimit) {
+  // The 5-parent collider of LimitGuardsLargestCliqueTable: the same
+  // structure at limit 64 plans fine and at limit 16 must still be refused
+  // — the limit is part of the plan's structure, never skipped.
+  Rng rng(7);
+  BayesianNetwork bn;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(bn.AddNode("P" + std::to_string(i), 2, {},
+                           RandomCpt(1, 2, &rng)).ok());
+  }
+  ASSERT_TRUE(bn.AddNode("C", 2, {0, 1, 2, 3, 4},
+                         RandomCpt(32, 2, &rng)).ok());
+  const std::vector<Factor> factors = bn.Factors();
+  const std::vector<int> arities = bn.Arities();
+  Vector out;
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_TRUE(FactorConditionalJointInto(
+                    factors, arities, {5}, {}, 64,
+                    InferenceBackend::kVariableElimination, nullptr, &out)
+                    .ok());
+    const Status refused = FactorConditionalJointInto(
+        factors, arities, {5}, {}, 16, InferenceBackend::kVariableElimination,
+        nullptr, &out);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument);
+    // Refused twice in a row: the second query reuses the refusing plan.
+    EXPECT_EQ(FactorConditionalJointInto(factors, arities, {5}, {}, 16,
+                                         InferenceBackend::kVariableElimination,
+                                         nullptr, &out)
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(EliminationPlanTest, ReusedPlanStillReportsImpossibleEvidence) {
+  // X1 copies X0 exactly and X0 = 0 surely: X1 = 1 has probability zero.
+  BayesianNetwork bn;
+  ASSERT_TRUE(bn.AddNode("A", 2, {}, Matrix{{1.0, 0.0}}).ok());
+  ASSERT_TRUE(bn.AddNode("B", 2, {0}, Matrix{{1.0, 0.0}, {0.0, 1.0}}).ok());
+  ASSERT_TRUE(bn.AddNode("C", 2, {1}, Matrix{{0.5, 0.5}, {0.25, 0.75}}).ok());
+  const std::vector<Factor> factors = bn.Factors();
+  const std::vector<int> arities = bn.Arities();
+  Vector out;
+  for (int round = 0; round < 2; ++round) {
+    // Possible evidence plans and answers...
+    ASSERT_TRUE(FactorConditionalJointInto(
+                    factors, arities, {2}, {{1, 0}},
+                    1u << 20, InferenceBackend::kVariableElimination, nullptr,
+                    &out)
+                    .ok());
+    // ... and the same structure with a zero-probability value must fail.
+    Status s = FactorConditionalJointInto(
+        factors, arities, {2}, {{1, 1}}, 1u << 20,
+        InferenceBackend::kVariableElimination, nullptr, &out);
+    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+    // Consistent duplicates answer; conflicting duplicates (same structure)
+    // are contradictory evidence.
+    ASSERT_TRUE(FactorConditionalJointInto(
+                    factors, arities, {2}, {{1, 0}, {1, 0}}, 1u << 20,
+                    InferenceBackend::kVariableElimination, nullptr, &out)
+                    .ok());
+    s = FactorConditionalJointInto(factors, arities, {2}, {{1, 0}, {1, 1}},
+                                   1u << 20,
+                                   InferenceBackend::kVariableElimination,
+                                   nullptr, &out);
+    EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
+  }
 }
 
 TEST(EliminationTest, ScalesFarBeyondTheEnumerationGuard) {

@@ -182,6 +182,74 @@ TEST(MqmGeneralTest, MultiThetaClassesUseTheUnionGraph) {
   }
 }
 
+TEST(MqmGeneralTest, MultiThetaDifferentStructuresMatchEnumerationBitwise) {
+  // The chain + star pair of MultiThetaClassesUseTheUnionGraph: the thetas'
+  // factor scopes differ, so every theta switch rebuilds the elimination
+  // plan. Dyadic CPTs make both backends exact, so every score, influence
+  // and quilt must agree to the last bit.
+  const BayesianNetwork chain = TreeNetwork(4, 1, kRoot, kEdge).ValueOrDie();
+  const BayesianNetwork star =
+      HubSpokeNetwork(1, 3, kRoot, kEdge, kEdge).ValueOrDie();
+  MqmAnalyzeOptions options;
+  options.backend = InferenceBackend::kVariableElimination;
+  const MqmAnalysis elim =
+      AnalyzeMarkovQuiltMechanism({chain, star}, 1.0, options).ValueOrDie();
+  options.backend = InferenceBackend::kEnumeration;
+  const MqmAnalysis enu =
+      AnalyzeMarkovQuiltMechanism({chain, star}, 1.0, options).ValueOrDie();
+  ExpectBitIdentical(elim, enu);
+}
+
+TEST(MqmGeneralTest, SharedCanonicalizerMatchesStandaloneCanonicalization) {
+  // The test topologies, plus a star whose third leaf differs from the
+  // other two only in its CPT values.
+  std::vector<BayesianNetwork> networks = TestTopologies();
+  BayesianNetwork star;
+  ASSERT_TRUE(star.AddNode("hub", 2, {}, Matrix{{0.5, 0.5}}).ok());
+  ASSERT_TRUE(star.AddNode("s0", 2, {0}, kEdge).ok());
+  ASSERT_TRUE(star.AddNode("s1", 2, {0}, kEdge).ok());
+  ASSERT_TRUE(star.AddNode("odd", 2, {0}, BinaryNoisyCopyCpt(0.125)).ok());
+  networks.push_back(star);
+  for (const BayesianNetwork& bn : networks) {
+    const std::vector<BayesianNetwork> thetas = {bn};
+    const MoralGraph graph = UnionMoralGraph(thetas);
+    const NodeCanonicalizer canonicalizer(thetas, graph);
+    const int n = static_cast<int>(bn.num_nodes());
+    std::vector<NodeCanonicalForm> shared, standalone;
+    for (int i = 0; i < n; ++i) {
+      shared.push_back(canonicalizer.Canonicalize(i));
+      standalone.push_back(CanonicalizeNode(thetas, graph, i));
+      EXPECT_EQ(shared.back().order, standalone.back().order) << "node " << i;
+      EXPECT_EQ(shared.back().order, CanonicalNodeOrder(thetas, graph, i));
+      EXPECT_EQ(shared.back().key, standalone.back().key) << "node " << i;
+    }
+    // Class membership agrees pairwise: unmaterialized against standalone
+    // forms, and materialized shared forms against each other.
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        const NodeCanonicalForm& a = standalone[static_cast<std::size_t>(i)];
+        const NodeCanonicalForm& b = standalone[static_cast<std::size_t>(j)];
+        EXPECT_EQ(canonicalizer.SameProblem(
+                      shared[static_cast<std::size_t>(i)], b),
+                  a.SameProblem(b))
+            << i << " vs " << j;
+      }
+    }
+    for (NodeCanonicalForm& form : shared) canonicalizer.Materialize(&form);
+    for (int i = 0; i < n; ++i) {
+      for (int j = 0; j < n; ++j) {
+        const std::size_t ui = static_cast<std::size_t>(i);
+        const std::size_t uj = static_cast<std::size_t>(j);
+        EXPECT_EQ(shared[ui].SameProblem(shared[uj]),
+                  standalone[ui].SameProblem(standalone[uj]))
+            << i << " vs " << j;
+      }
+      EXPECT_TRUE(shared[static_cast<std::size_t>(i)].SameProblem(
+          standalone[static_cast<std::size_t>(i)]));
+    }
+  }
+}
+
 TEST(MqmGeneralTest, CanonicalFormsGroupExactlyNotByHashAlone) {
   // Two leaves of a uniform star share their canonical form; a leaf with a
   // different CPT must not join their class even though the topology
