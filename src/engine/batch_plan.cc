@@ -28,10 +28,6 @@ const char* DeriveOpName(PhysicalBatchPlan::DeriveOp op) {
   return "?";
 }
 
-bool IsFullRecord(const DataWindow& w) {
-  return !w.from_end && w.offset == 0 && w.length == 0;
-}
-
 /// Compact double formatting for Explain (std::to_string pads zeros).
 std::string FormatDouble(double v) {
   char buf[32];
@@ -102,6 +98,19 @@ Result<std::pair<std::size_t, std::size_t>> ResolveDataWindow(
   return std::make_pair(offset, length);
 }
 
+Status CheckFullRecordFits(const QuerySpec& spec, std::size_t size,
+                           std::size_t record_length) {
+  if (QueryKindNeedsLength(spec.kind) && record_length != 0 &&
+      size > record_length) {
+    return Status::InvalidArgument(
+        std::string("full-record ") + QueryKindName(spec.kind) + " over " +
+        std::to_string(size) +
+        " observations exceeds the record length " +
+        std::to_string(record_length) + "; nothing was charged");
+  }
+  return Status::OK();
+}
+
 Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
                                            const BatchQuerySpec& batch,
                                            std::size_t data_size,
@@ -129,10 +138,13 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
   for (std::size_t i = 0; i < batch.items.size(); ++i) {
     const BatchQueryItem& item = batch.items[i];
 
-    const bool full = IsFullRecord(item.window);
+    const bool full = item.window.full_record();
     std::size_t offset = 0;
     std::size_t length = data_size;
-    if (!full) {
+    if (full) {
+      Status fits = CheckFullRecordFits(item.spec, data_size, model_length);
+      if (!fits.ok()) return fits.WithContext("batch row " + std::to_string(i));
+    } else {
       Result<std::pair<std::size_t, std::size_t>> span =
           ResolveDataWindow(item.window, data_size);
       if (!span.ok()) {
@@ -164,9 +176,8 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
       }
     }
     if (u == lg.unique.size()) {
-      // Full-record rows compile with window_length = 0, exactly like the
-      // scalar non-window Submit; windowed rows pass the resolved length,
-      // exactly like the scalar windowed Submit.
+      // Full-record rows compile with window_length = 0 and windowed rows
+      // with the resolved length, exactly like scalar Release/Submit.
       Result<PrivacyEngine::CompiledQuery> compiled =
           engine->Compile(item.spec, full ? 0 : length, request);
       if (!compiled.ok()) {
@@ -180,8 +191,7 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
       uq.compile_length = full ? model_length : length;
       bucket.push_back(u);
       lg.unique.push_back(std::move(uq));
-      plan.compiled.push_back(
-          {std::move(compiled.value().query), std::move(compiled.value().plan)});
+      plan.compiled.push_back(std::move(compiled).value());
     }
     lg.row_to_unique.push_back(u);
     ++lg.unique[u].num_rows;
@@ -254,12 +264,6 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
     }
   }
   return plan;
-}
-
-Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
-                                           const BatchQuerySpec& batch,
-                                           std::size_t data_size) {
-  return CompileBatchPlan(engine, batch, data_size, RequestOptions{});
 }
 
 std::string CompiledBatchPlan::Explain() const {
@@ -464,7 +468,7 @@ Result<BatchReleaseResult> ExecuteBatchPlan(const CompiledBatchPlan& plan,
   // Noise: per-ticket Laplace streams, bit-identical to the scalar path.
   std::vector<std::shared_ptr<const MechanismPlan>> plans;
   plans.reserve(plan.compiled.size());
-  for (const CompiledBatchQuery& c : plan.compiled) plans.push_back(c.plan);
+  for (const PrivacyEngine::CompiledQuery& c : plan.compiled) plans.push_back(c.plan);
   PF_RETURN_NOT_OK(ReleaseBatchColumnar(plans, seed, &batch));
 
   BatchReleaseResult result;

@@ -27,7 +27,7 @@
 // through their compiled std::function against the materialized window,
 // exactly as the scalar path does.
 //
-// Batch semantics are ALL-OR-NOTHING, unlike scalar SubmitBatch's per-row
+// Batch semantics are ALL-OR-NOTHING, unlike the scalar path's per-row
 // futures: a batch that fails to compile, mixes active quilts, or would
 // overrun the budget is refused whole, and nothing is charged.
 #ifndef PUFFERFISH_ENGINE_BATCH_PLAN_H_
@@ -44,13 +44,11 @@
 #include "common/record_batch.h"
 #include "common/status.h"
 #include "engine/batch_kernels.h"
+#include "engine/privacy_engine.h"
 #include "engine/query_spec.h"
 #include "pufferfish/mechanism.h"
 
 namespace pf {
-
-class PrivacyEngine;
-struct RequestOptions;
 
 /// \brief A contiguous window of a (growing) record for sliding-window
 /// queries: resolved against the database size at submit time. The engine
@@ -82,14 +80,33 @@ struct DataWindow {
   }
   /// The whole record.
   static DataWindow All() { return DataWindow{}; }
+
+  /// True for All(): the query compiles against the engine's record length
+  /// and runs over the whole database, which must be no longer than that
+  /// (CheckFullRecordFits). Every other window is resolved against the
+  /// database and compiles at its own length.
+  bool full_record() const { return !from_end && offset == 0 && length == 0; }
 };
 
 /// \brief Resolves a DataWindow against a record of `size` observations
 /// into a concrete (offset, length) slice; empty or out-of-range windows
 /// are refused here, before anything is charged. Shared by the scalar
-/// windowed Release/Submit paths and the batch-plan compiler.
+/// Release/Submit paths and the batch-plan compiler, both of which call it
+/// only for windows that are not full_record().
 Result<std::pair<std::size_t, std::size_t>> ResolveDataWindow(
     const DataWindow& window, std::size_t size);
+
+/// \brief Refuses a full-record release of a length-dependent built-in
+/// (QueryKindNeedsLength: Mean, StateFrequency, FrequencyHistogram) over a
+/// database of `size` observations when the model covers only
+/// `record_length`: its 1/T constant is the model's T, so the release would
+/// be wrong. Sum, CountHistogram and custom queries pass: their constants
+/// do not depend on T, and the record may pool independent chains each
+/// within the model's length (the paper's per-person, multi-day task). On
+/// a lengthless model (`record_length` 0) Compile refuses the 1/T kinds.
+/// Checked on every path before anything is charged.
+Status CheckFullRecordFits(const QuerySpec& spec, std::size_t size,
+                           std::size_t record_length);
 
 /// One row of a batch: a declarative query over a window of the record.
 struct BatchQueryItem {
@@ -126,9 +143,9 @@ struct LogicalBatchPlan {
     /// Resolved slice [offset, offset + length) of the record.
     std::size_t offset = 0;
     std::size_t length = 0;
-    /// True for DataWindow::All(): the query compiles against the engine's
-    /// full record length (matching the scalar non-window Submit path) and
-    /// executes over the whole database.
+    /// DataWindow::full_record(): the query compiles against the engine's
+    /// record length (as scalar Release/Submit do) and executes over the
+    /// whole database.
     bool full_record = false;
   };
   struct UniqueQuery {
@@ -190,13 +207,6 @@ struct PhysicalBatchPlan {
   std::vector<DeriveNode> derives;
 };
 
-/// A unique query compiled against the engine's model (mirrors
-/// PrivacyEngine::CompiledQuery without depending on the engine header).
-struct CompiledBatchQuery {
-  VectorQuery query;
-  std::shared_ptr<const MechanismPlan> plan;
-};
-
 /// \brief A fully lowered batch: logical plan, physical plan, and the
 /// per-unique compiled (query, plan) pairs (index-aligned with
 /// logical.unique). Immutable once compiled; safe to execute from any
@@ -204,7 +214,7 @@ struct CompiledBatchQuery {
 struct CompiledBatchPlan {
   LogicalBatchPlan logical;
   PhysicalBatchPlan physical;
-  std::vector<CompiledBatchQuery> compiled;
+  std::vector<PrivacyEngine::CompiledQuery> compiled;
 
   std::size_t num_rows() const { return logical.row_to_unique.size(); }
 
@@ -232,10 +242,7 @@ struct BatchReleaseResult {
 Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
                                            const BatchQuerySpec& batch,
                                            std::size_t data_size,
-                                           const RequestOptions& request);
-Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
-                                           const BatchQuerySpec& batch,
-                                           std::size_t data_size);
+                                           const RequestOptions& request = {});
 
 /// \brief Runs the physical plan over `data`: aggregate → derive → clip →
 /// noise, with row i released under ticket `first_ticket + i` from the

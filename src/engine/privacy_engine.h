@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -45,7 +46,6 @@
 namespace pf {
 
 class Session;
-struct SessionOptions;
 
 /// \brief The distribution class Theta, declaratively: what the engine
 /// builds its mechanism from. Construct via the factories.
@@ -154,6 +154,25 @@ struct RequestOptions {
   bool allow_cold_analysis = true;
 };
 
+/// Per-session knobs, passed to PrivacyEngine::CreateSession.
+struct SessionOptions {
+  /// Total epsilon this session may spend (Theorem 4.4 composed level).
+  /// Default: unmetered.
+  double epsilon_budget = std::numeric_limits<double>::infinity();
+  /// Seed for the session's deterministic noise stream. Unset (the
+  /// default), the engine assigns every session a distinct seed: two
+  /// sessions releasing the same value from the same noise stream would
+  /// let an observer cancel the noise and recover the exact private
+  /// value, so identical streams must be something a caller asks for
+  /// explicitly (reproducible experiments), never an accident.
+  std::optional<std::uint64_t> seed;
+  /// Maximum concurrently in-flight asynchronous releases (admitted by
+  /// Submit but not yet completed). 0 (the default) is unlimited. At the
+  /// cap Submit refuses with Unavailable BEFORE charging the budget, so a
+  /// shed ticket never debits epsilon.
+  std::size_t max_in_flight = 0;
+};
+
 /// \brief The mechanism the policy picks for `model` under `options`
 /// (honoring options.mechanism when set). Exposed for tests and logs;
 /// PrivacyEngine::Create applies the same rule.
@@ -228,33 +247,29 @@ class PrivacyEngine {
   /// \brief Compiles a declarative query to (VectorQuery, MechanismPlan),
   /// analyzing at the spec's epsilon at most once per (model, epsilon):
   /// both the plan (AnalysisCache) and the compiled pair are cached.
-  Result<CompiledQuery> Compile(const QuerySpec& spec);
-
-  /// \brief Compiles `spec` against a window of `window_length`
+  ///
+  /// `window_length` > 0 compiles against a window of that many
   /// observations instead of the full record: built-in Lipschitz constants
   /// that depend on the record length (mean, frequencies) are derived from
   /// the window length — a window query is exactly that much more
   /// sensitive per record — while the plan (noise calibration) is the full
-  /// model's. window_length = 0 means the full record; longer than the
-  /// record is InvalidArgument.
-  Result<CompiledQuery> Compile(const QuerySpec& spec,
-                                std::size_t window_length);
-
-  /// \brief Compile under per-request constraints: an already-expired
-  /// deadline is refused with DeadlineExceeded before any work, a deadline
-  /// (or EngineOptions::analysis_timeout_ms) expiring mid-analysis cancels
-  /// it at the next checkpoint, and cold analyses are shed with
-  /// Unavailable under the overload policy (see RequestOptions and
+  /// model's. 0 means the full record; longer than the record is
+  /// InvalidArgument.
+  ///
+  /// `request` constrains the compile: an already-expired deadline is
+  /// refused with DeadlineExceeded before any work, a deadline (or
+  /// EngineOptions::analysis_timeout_ms) expiring mid-analysis cancels it
+  /// at the next checkpoint, and cold analyses are shed with Unavailable
+  /// under the overload policy (see RequestOptions and
   /// EngineOptions::shed_cold_queue_depth). Failure messages chain context
   /// back to the root cause.
   Result<CompiledQuery> Compile(const QuerySpec& spec,
-                                std::size_t window_length,
-                                const RequestOptions& request);
+                                std::size_t window_length = 0,
+                                const RequestOptions& request = {});
 
   /// \brief Opens a per-tenant session with its own privacy budget and RNG
   /// seed. The engine must outlive the session.
-  std::unique_ptr<Session> CreateSession(const SessionOptions& options);
-  std::unique_ptr<Session> CreateSession();
+  std::unique_ptr<Session> CreateSession(const SessionOptions& options = {});
 
   /// Plan-cache statistics (hits prove re-analysis was skipped).
   AnalysisCache::Stats cache_stats() const { return cache_.stats(); }

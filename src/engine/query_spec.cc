@@ -98,6 +98,11 @@ QuerySpec QuerySpec::CustomVector(
   return spec;
 }
 
+bool QueryKindNeedsLength(QueryKind kind) {
+  return kind == QueryKind::kMean || kind == QueryKind::kStateFrequency ||
+         kind == QueryKind::kFrequencyHistogram;
+}
+
 QuerySpec QuerySpec::WithEpsilon(double new_epsilon) const {
   QuerySpec spec = *this;
   spec.epsilon = new_epsilon;
@@ -158,9 +163,7 @@ Result<VectorQuery> CompileQuerySpec(const QuerySpec& spec,
   const bool needs_states = spec.kind == QueryKind::kMean ||
                             spec.kind == QueryKind::kCountHistogram ||
                             spec.kind == QueryKind::kFrequencyHistogram;
-  const bool needs_length = spec.kind == QueryKind::kMean ||
-                            spec.kind == QueryKind::kStateFrequency ||
-                            spec.kind == QueryKind::kFrequencyHistogram;
+  const bool needs_length = QueryKindNeedsLength(spec.kind);
   if (needs_states && num_states == 0) {
     return Status::FailedPrecondition(
         std::string(QueryKindName(spec.kind)) +

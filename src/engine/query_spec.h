@@ -32,6 +32,10 @@ enum class QueryKind {
 
 const char* QueryKindName(QueryKind kind);
 
+/// True for the built-ins whose constants divide by the record length T
+/// (kMean, kStateFrequency, kFrequencyHistogram).
+bool QueryKindNeedsLength(QueryKind kind);
+
 /// \brief A declarative query: kind + parameters + privacy level.
 ///
 /// Construct via the factories; a default-constructed spec is kSum at

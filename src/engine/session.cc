@@ -164,9 +164,9 @@ Result<ReleaseResult> Session::Execute(const PrivacyEngine::CompiledQuery& q,
   }
   Rng rng(TicketNoiseSeed(seed, ticket));
   // The charge is structurally upstream: Execute only runs with a `ticket`
-  // already issued by ChargeLocked (every caller is a Release overload or
-  // the SubmitCompiled task body, both of which charge before invoking
-  // it), so no in-function charge can or should dominate this release.
+  // already issued by ChargeLocked (its only callers, Release and the
+  // SubmitCompiled task body, both charge before invoking it), so no
+  // in-function charge can or should dominate this release.
   // pf:allow(budget-flow): ticket proves the charge happened upstream
   PF_ASSIGN_OR_RETURN(Vector noisy, ReleaseVector(*q.plan, truth,
                                                   q.query.lipschitz, &rng));
@@ -179,118 +179,75 @@ Result<ReleaseResult> Session::Execute(const PrivacyEngine::CompiledQuery& q,
   return result;
 }
 
-Result<ReleaseResult> Session::Release(const QuerySpec& spec,
-                                       const StateSequence& data) {
-  PF_ASSIGN_OR_RETURN(PrivacyEngine::CompiledQuery compiled,
-                      engine_->Compile(spec));
-  std::uint64_t ticket = 0;
-  {
-    MutexLock lock(mutex_);
-    PF_ASSIGN_OR_RETURN(ticket, ChargeLocked(*compiled.plan));
-  }
-  return Execute(compiled, data, seed_, ticket);
-}
-
-Result<ReleaseResult> Session::Release(const QuerySpec& spec,
-                                       const StateSequence& data,
-                                       const DataWindow& window) {
-  PF_ASSIGN_OR_RETURN(const auto span, ResolveDataWindow(window, data.size()));
-  PF_ASSIGN_OR_RETURN(PrivacyEngine::CompiledQuery compiled,
-                      engine_->Compile(spec, span.second));
-  const StateSequence slice = SliceWindow(data, span.first, span.second);
-  std::uint64_t ticket = 0;
-  {
-    MutexLock lock(mutex_);
-    PF_ASSIGN_OR_RETURN(ticket, ChargeLocked(*compiled.plan));
-  }
-  return Execute(compiled, slice, seed_, ticket);
-}
-
-Result<ReleaseResult> Session::Release(const QuerySpec& spec,
-                                       const StateSequence& data,
-                                       const RequestOptions& request) {
+Result<Session::Prepared> Session::Prepare(const QuerySpec& spec,
+                                           const StateSequence& data,
+                                           const DataWindow& window,
+                                           const RequestOptions& request) {
   // Compile() re-checks the deadline, but refusing here keeps the
   // guarantee local: an expired ticket never reaches the charge path.
   if (request.deadline.expired()) {
     return Status::DeadlineExceeded(
         "request deadline already expired; nothing was charged");
   }
-  PF_ASSIGN_OR_RETURN(PrivacyEngine::CompiledQuery compiled,
-                      engine_->Compile(spec, 0, request));
-  std::uint64_t ticket = 0;
-  {
-    MutexLock lock(mutex_);
-    PF_ASSIGN_OR_RETURN(ticket, ChargeLocked(*compiled.plan));
+  Prepared prepared;
+  if (window.full_record()) {
+    // Only the 1/T kinds can be refused; the rest skip the model lock.
+    if (QueryKindNeedsLength(spec.kind)) {
+      PF_RETURN_NOT_OK(
+          CheckFullRecordFits(spec, data.size(), engine_->record_length()));
+    }
+    PF_ASSIGN_OR_RETURN(prepared.compiled, engine_->Compile(spec, 0, request));
+  } else {
+    PF_ASSIGN_OR_RETURN(const auto span, ResolveDataWindow(window, data.size()));
+    PF_ASSIGN_OR_RETURN(prepared.compiled,
+                        engine_->Compile(spec, span.second, request));
+    prepared.slice = SliceWindow(data, span.first, span.second);
   }
-  return Execute(compiled, data, seed_, ticket);
+  return prepared;
 }
 
 Result<ReleaseResult> Session::Release(const QuerySpec& spec,
                                        const StateSequence& data,
                                        const DataWindow& window,
                                        const RequestOptions& request) {
-  if (request.deadline.expired()) {
-    return Status::DeadlineExceeded(
-        "request deadline already expired; nothing was charged");
-  }
-  PF_ASSIGN_OR_RETURN(const auto span, ResolveDataWindow(window, data.size()));
-  PF_ASSIGN_OR_RETURN(PrivacyEngine::CompiledQuery compiled,
-                      engine_->Compile(spec, span.second, request));
-  const StateSequence slice = SliceWindow(data, span.first, span.second);
+  PF_ASSIGN_OR_RETURN(Prepared prepared,
+                      Prepare(spec, data, window, request));
   std::uint64_t ticket = 0;
   {
     MutexLock lock(mutex_);
-    PF_ASSIGN_OR_RETURN(ticket, ChargeLocked(*compiled.plan));
+    PF_ASSIGN_OR_RETURN(ticket, ChargeLocked(*prepared.compiled.plan));
   }
-  return Execute(compiled, slice, seed_, ticket);
-}
-
-std::future<Result<ReleaseResult>> Session::Submit(const QuerySpec& spec,
-                                                   StateSequence data) {
-  return Submit(spec,
-                std::make_shared<const StateSequence>(std::move(data)));
-}
-
-std::future<Result<ReleaseResult>> Session::Submit(const QuerySpec& spec,
-                                                   const StateSequence& data,
-                                                   const DataWindow& window) {
-  return Submit(spec, data, window, RequestOptions{});
+  return Execute(prepared.compiled,
+                 prepared.slice.has_value() ? *prepared.slice : data, seed_,
+                 ticket);
 }
 
 std::future<Result<ReleaseResult>> Session::Submit(
     const QuerySpec& spec, const StateSequence& data, const DataWindow& window,
     const RequestOptions& request) {
-  if (request.deadline.expired()) {
-    return ReadyError(Status::DeadlineExceeded(
-        "request deadline already expired; nothing was charged"));
-  }
-  Result<std::pair<std::size_t, std::size_t>> span =
-      ResolveDataWindow(window, data.size());
-  if (!span.ok()) return ReadyError(span.status());
-  Result<PrivacyEngine::CompiledQuery> compiled =
-      engine_->Compile(spec, span.value().second, request);
-  if (!compiled.ok()) return ReadyError(compiled.status());
-  auto slice = std::make_shared<const StateSequence>(
-      SliceWindow(data, span.value().first, span.value().second));
-  return SubmitCompiled(std::move(compiled).value(), std::move(slice));
-}
-
-std::future<Result<ReleaseResult>> Session::Submit(
-    const QuerySpec& spec, std::shared_ptr<const StateSequence> data) {
-  return Submit(spec, std::move(data), RequestOptions{});
+  Result<Prepared> prepared = Prepare(spec, data, window, request);
+  if (!prepared.ok()) return ReadyError(prepared.status());
+  Prepared& p = prepared.value();
+  auto shared = p.slice.has_value()
+                    ? std::make_shared<const StateSequence>(std::move(*p.slice))
+                    : std::make_shared<const StateSequence>(data);
+  return SubmitCompiled(std::move(p.compiled), std::move(shared));
 }
 
 std::future<Result<ReleaseResult>> Session::Submit(
     const QuerySpec& spec, std::shared_ptr<const StateSequence> data,
-    const RequestOptions& request) {
-  if (request.deadline.expired()) {
-    return ReadyError(Status::DeadlineExceeded(
-        "request deadline already expired; nothing was charged"));
+    const DataWindow& window, const RequestOptions& request) {
+  if (data == nullptr) {
+    return ReadyError(
+        Status::InvalidArgument("null database; nothing was charged"));
   }
-  Result<PrivacyEngine::CompiledQuery> compiled =
-      engine_->Compile(spec, 0, request);
-  if (!compiled.ok()) return ReadyError(compiled.status());
-  return SubmitCompiled(std::move(compiled).value(), std::move(data));
+  Result<Prepared> prepared = Prepare(spec, *data, window, request);
+  if (!prepared.ok()) return ReadyError(prepared.status());
+  Prepared& p = prepared.value();
+  if (p.slice.has_value()) {
+    data = std::make_shared<const StateSequence>(std::move(*p.slice));
+  }
+  return SubmitCompiled(std::move(p.compiled), std::move(data));
 }
 
 std::future<Result<ReleaseResult>> Session::SubmitCompiled(
@@ -347,7 +304,14 @@ std::vector<std::future<Result<ReleaseResult>>> Session::SubmitBatch(
       compiled_by_key;
   std::vector<std::future<Result<ReleaseResult>>> futures;
   futures.reserve(specs.size());
+  const std::size_t model_length = engine_->record_length();
   for (const QuerySpec& spec : specs) {
+    // Every row is a full-record release, refused as Release would be.
+    Status fits = CheckFullRecordFits(spec, data.size(), model_length);
+    if (!fits.ok()) {
+      futures.push_back(ReadyError(std::move(fits)));
+      continue;
+    }
     std::string key = spec.CacheKey();
     auto it = compiled_by_key.find(key);
     if (it == compiled_by_key.end()) {
@@ -363,21 +327,13 @@ std::vector<std::future<Result<ReleaseResult>>> Session::SubmitBatch(
   return futures;
 }
 
-std::vector<std::future<Result<ReleaseResult>>> Session::SubmitBatch(
-    const QuerySpec& spec, const std::vector<StateSequence>& batch) {
-  std::vector<std::future<Result<ReleaseResult>>> futures;
-  futures.reserve(batch.size());
-  for (const StateSequence& data : batch) futures.push_back(Submit(spec, data));
-  return futures;
-}
-
 Result<std::uint64_t> Session::ChargeBatchLocked(
     const CompiledBatchPlan& plan) {
   const std::size_t rows = plan.num_rows();
   // Every unique plan must be releasable before anything is recorded
   // (mirrors ChargeLocked): a batch containing one inapplicable row would
   // otherwise burn budget on releases that can never be produced.
-  for (const CompiledBatchQuery& q : plan.compiled) {
+  for (const PrivacyEngine::CompiledQuery& q : plan.compiled) {
     const MechanismPlan& mp = *q.plan;
     if (!mp.applicable) {
       return Status::FailedPrecondition(
@@ -434,11 +390,6 @@ Result<std::uint64_t> Session::ChargeBatchLocked(
   const std::uint64_t first = next_ticket_;
   next_ticket_ += rows;
   return first;
-}
-
-std::future<Result<BatchReleaseResult>> Session::SubmitColumnar(
-    const BatchQuerySpec& batch, const StateSequence& data) {
-  return SubmitColumnar(batch, data, RequestOptions{});
 }
 
 std::future<Result<BatchReleaseResult>> Session::SubmitColumnar(

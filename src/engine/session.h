@@ -14,7 +14,6 @@
 #include <atomic>
 #include <cstdint>
 #include <future>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -29,27 +28,9 @@
 
 namespace pf {
 
-struct SessionOptions {
-  /// Total epsilon this session may spend (Theorem 4.4 composed level).
-  /// Default: unmetered.
-  double epsilon_budget = std::numeric_limits<double>::infinity();
-  /// Seed for the session's deterministic noise stream. Unset (the
-  /// default), the engine assigns every session a distinct seed: two
-  /// sessions releasing the same value from the same noise stream would
-  /// let an observer cancel the noise and recover the exact private
-  /// value, so identical streams must be something a caller asks for
-  /// explicitly (reproducible experiments), never an accident.
-  std::optional<std::uint64_t> seed;
-  /// Maximum concurrently in-flight asynchronous releases (admitted by
-  /// Submit but not yet completed). 0 (the default) is unlimited. At the
-  /// cap Submit refuses with Unavailable BEFORE charging the budget, so a
-  /// shed ticket never debits epsilon.
-  std::size_t max_in_flight = 0;
-};
-
-// DataWindow lives in engine/batch_plan.h (shared by the scalar windowed
-// overloads below and the columnar batch frontend); it is re-exported here
-// so existing includes of session.h keep compiling.
+// SessionOptions and RequestOptions live in engine/privacy_engine.h and
+// DataWindow in engine/batch_plan.h (shared with the columnar frontend);
+// this header includes both.
 
 /// One released query: the noisy value plus its accounting facts.
 struct ReleaseResult {
@@ -76,73 +57,61 @@ class Session {
 
   /// \brief Synchronous point release: compile (cached), charge the
   /// budget, evaluate and noise the query on the calling thread.
-  Result<ReleaseResult> Release(const QuerySpec& spec,
-                                const StateSequence& data);
-
-  /// \brief As Release, over a window of the record (sliding-window /
-  /// suffix serving for appended streams). The window is resolved against
-  /// `data` now; an out-of-range window is InvalidArgument and charges
-  /// nothing.
+  ///
+  /// Every release entry point shares one prologue, in this order:
+  ///  1. An already-expired `request.deadline` is refused with
+  ///     DeadlineExceeded.
+  ///  2. `window` is resolved against `data`: DataWindow::All() is the
+  ///     whole record and compiles at the engine's record length (a
+  ///     1/T built-in over a longer `data` is InvalidArgument, see
+  ///     CheckFullRecordFits); any other window
+  ///     compiles at its own length (sliding-window / suffix serving for
+  ///     appended streams), and an out-of-range one is InvalidArgument.
+  ///  3. The query is compiled under `request` (a deadline expiring
+  ///     mid-analysis cancels it at the next checkpoint, and
+  ///     `allow_cold_analysis = false` sheds uncached plans with
+  ///     Unavailable).
+  ///  4. The window is sliced out of `data` (O(W)); the full record is
+  ///     used in place.
+  /// A request refused by the prologue charges nothing.
   Result<ReleaseResult> Release(const QuerySpec& spec,
                                 const StateSequence& data,
-                                const DataWindow& window);
+                                const DataWindow& window = DataWindow::All(),
+                                const RequestOptions& request = {});
 
-  /// \brief As Release, under per-request constraints: an expired deadline
-  /// is refused with DeadlineExceeded before the budget is touched, a
-  /// deadline expiring mid-analysis cancels it at the next checkpoint, and
-  /// `allow_cold_analysis = false` sheds uncached plans with Unavailable.
-  Result<ReleaseResult> Release(const QuerySpec& spec,
-                                const StateSequence& data,
-                                const RequestOptions& request);
-  Result<ReleaseResult> Release(const QuerySpec& spec,
-                                const StateSequence& data,
-                                const DataWindow& window,
-                                const RequestOptions& request);
-
-  /// \brief Asynchronous release: compilation and budget charging happen
-  /// now (in call order — tickets and the ledger are deterministic), the
-  /// query evaluation and noise draw run on the engine's executor. A spec
-  /// rejected at submit time returns an already-resolved errored future and
-  /// charges nothing.
-  std::future<Result<ReleaseResult>> Submit(const QuerySpec& spec,
-                                            StateSequence data);
-  /// As above, sharing an already-wrapped database (no copy per call).
+  /// \brief Asynchronous release: the prologue (see Release) and the budget
+  /// charge happen now, in call order — tickets and the ledger are
+  /// deterministic — and the query evaluation and noise draw run on the
+  /// engine's executor. Admission happens strictly before accounting: the
+  /// executor slot and the session's in-flight cap are claimed first, so a
+  /// request shed with Unavailable (queue full, in-flight cap, cold-shed
+  /// policy) never debits epsilon. A refused request returns an
+  /// already-resolved errored future.
+  ///
+  /// This overload copies `data` (or the window slice) once for the task,
+  /// also when the caller passes a temporary; a caller that can give the
+  /// record up should wrap it in a shared_ptr and use the overload below.
   std::future<Result<ReleaseResult>> Submit(
-      const QuerySpec& spec, std::shared_ptr<const StateSequence> data);
-
-  /// \brief Asynchronous release under per-request constraints. Admission
-  /// happens strictly before accounting: the executor slot and the
-  /// session's in-flight cap are claimed first, so a request shed with
-  /// Unavailable (queue full, in-flight cap, cold-shed policy) or refused
-  /// with DeadlineExceeded never debits epsilon.
+      const QuerySpec& spec, const StateSequence& data,
+      const DataWindow& window = DataWindow::All(),
+      const RequestOptions& request = {});
+  /// As above, sharing an already-wrapped database: the full record is not
+  /// copied, a window slice is.
   std::future<Result<ReleaseResult>> Submit(
       const QuerySpec& spec, std::shared_ptr<const StateSequence> data,
-      const RequestOptions& request);
-
-  /// \brief Asynchronous sliding-window release: the window slice (O(W))
-  /// and the budget charge happen now, in call order; evaluation and the
-  /// noise draw run on the executor. Out-of-range windows return an
-  /// already-resolved errored future and charge nothing.
-  std::future<Result<ReleaseResult>> Submit(const QuerySpec& spec,
-                                            const StateSequence& data,
-                                            const DataWindow& window);
-  /// Sliding-window release under per-request constraints (see above).
-  std::future<Result<ReleaseResult>> Submit(const QuerySpec& spec,
-                                            const StateSequence& data,
-                                            const DataWindow& window,
-                                            const RequestOptions& request);
+      const DataWindow& window = DataWindow::All(),
+      const RequestOptions& request = {});
 
   /// Many queries against one database (the serving batch path); the
   /// database is wrapped once and shared by every task, not copied per
   /// query. Identical (kind, parameters, epsilon) specs are compiled once
   /// per call — a 1k-row batch of one shape does one compile-cache lookup,
-  /// not 1k.
+  /// not 1k. A 1/T built-in row over a `data` longer than the engine's
+  /// record length fails its future with InvalidArgument, as Release would.
+  /// One
+  /// query against many databases is a loop over Submit.
   std::vector<std::future<Result<ReleaseResult>>> SubmitBatch(
       const std::vector<QuerySpec>& specs, const StateSequence& data);
-
-  /// One query against many databases (per-subject fan-out).
-  std::vector<std::future<Result<ReleaseResult>>> SubmitBatch(
-      const QuerySpec& spec, const std::vector<StateSequence>& batch);
 
   /// \brief The columnar batch path: admits, prices the WHOLE batch under
   /// one Theorem 4.4 composed charge, and returns a single future over a
@@ -157,10 +126,8 @@ class Session {
   /// SimdLevel, while skipping the per-row dispatch/future/allocation
   /// overhead (see bench_batch_serving).
   std::future<Result<BatchReleaseResult>> SubmitColumnar(
-      const BatchQuerySpec& batch, const StateSequence& data);
-  std::future<Result<BatchReleaseResult>> SubmitColumnar(
       const BatchQuerySpec& batch, const StateSequence& data,
-      const RequestOptions& request);
+      const RequestOptions& request = {});
 
   double epsilon_budget() const { return options_.epsilon_budget; }
   /// Asynchronous releases admitted but not yet completed.
@@ -188,14 +155,27 @@ class Session {
   Result<std::uint64_t> ChargeBatchLocked(const CompiledBatchPlan& plan)
       PF_REQUIRES(mutex_);
 
+  /// What the shared prologue hands a scalar entry point: the compiled
+  /// query and, for any window but the full record, its slice.
+  struct Prepared {
+    PrivacyEngine::CompiledQuery compiled;
+    std::optional<StateSequence> slice;
+  };
+
+  /// The prologue shared by Release and both Submit overloads (see
+  /// Release). Touches neither the ledger nor any admission slot.
+  Result<Prepared> Prepare(const QuerySpec& spec, const StateSequence& data,
+                           const DataWindow& window,
+                           const RequestOptions& request);
+
   /// Claims one in-flight slot (CAS against max_in_flight); Unavailable at
   /// the cap. The slot is returned by the task body on completion, or by
   /// the submit path on any failure between admission and hand-off.
   Status AdmitInFlight();
 
-  /// The admission + charge + hand-off tail shared by every Submit
-  /// overload, in the shed-before-charge order: executor permit, in-flight
-  /// slot, budget charge, then the task keeps the permit.
+  /// The admission + charge + hand-off tail shared by both Submit
+  /// overloads and SubmitBatch, in the shed-before-charge order: executor
+  /// permit, in-flight slot, budget charge, then the task keeps the permit.
   std::future<Result<ReleaseResult>> SubmitCompiled(
       PrivacyEngine::CompiledQuery q,
       std::shared_ptr<const StateSequence> data);

@@ -413,14 +413,4 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
   return AnalyzeMarkovQuiltMechanism(thetas, epsilon, options);
 }
 
-double MqmReleaseScalar(double value, double lipschitz, double sigma_max,
-                        Rng* rng) {
-  return AddLaplaceNoise(value, lipschitz * sigma_max, rng);
-}
-
-Vector MqmReleaseVector(const Vector& value, double lipschitz, double sigma_max,
-                        Rng* rng) {
-  return AddLaplaceNoise(value, lipschitz * sigma_max, rng);
-}
-
 }  // namespace pf

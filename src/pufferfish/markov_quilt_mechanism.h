@@ -201,14 +201,6 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
     const std::vector<std::vector<MarkovQuilt>>& quilt_sets,
     std::size_t enumeration_limit = 1u << 22);
 
-/// Releases a scalar L-Lipschitz query value: F(D) + L * sigma_max * Lap(1).
-double MqmReleaseScalar(double value, double lipschitz, double sigma_max, Rng* rng);
-
-/// Releases an L1 L-Lipschitz vector query: i.i.d. L * sigma_max * Lap(1)
-/// noise per coordinate (the vector-valued extension of Section 4.2).
-Vector MqmReleaseVector(const Vector& value, double lipschitz, double sigma_max,
-                        Rng* rng);
-
 }  // namespace pf
 
 #endif  // PUFFERFISH_PUFFERFISH_MARKOV_QUILT_MECHANISM_H_

@@ -1,5 +1,6 @@
 #include "pufferfish/mechanism.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/fingerprint.h"
@@ -62,24 +63,6 @@ Result<Vector> ReleaseVector(const MechanismPlan& plan, const Vector& value,
                              double lipschitz, Rng* rng) {
   PF_RETURN_NOT_OK(CheckReleasable(plan, lipschitz));
   return AddLaplaceNoise(value, lipschitz * plan.sigma, rng);
-}
-
-Result<Vector> ReleaseBatch(const MechanismPlan& plan,
-                            const std::vector<double>& values,
-                            double lipschitz, Rng* rng) {
-  PF_RETURN_NOT_OK(CheckReleasable(plan, lipschitz));
-  return AddLaplaceNoise(values, lipschitz * plan.sigma, rng);
-}
-
-Result<std::vector<Vector>> ReleaseBatch(const MechanismPlan& plan,
-                                         const std::vector<Vector>& values,
-                                         double lipschitz, Rng* rng) {
-  PF_RETURN_NOT_OK(CheckReleasable(plan, lipschitz));
-  std::vector<Vector> out;
-  out.reserve(values.size());
-  const double scale = lipschitz * plan.sigma;
-  for (const Vector& v : values) out.push_back(AddLaplaceNoise(v, scale, rng));
-  return out;
 }
 
 Status ReleaseBatchColumnar(
@@ -167,10 +150,19 @@ std::uint64_t Gk16Unified::Fingerprint() const {
 // ------------------------------------------------------------ Wasserstein --
 
 Result<MechanismPlan> WassersteinUnified::Analyze(double epsilon) const {
-  PF_ASSIGN_OR_RETURN(WassersteinMechanism mech,
-                      WassersteinMechanism::Make(pairs_, epsilon, backend_));
-  MechanismPlan plan = NewPlan(epsilon, mech.noise_scale());
-  plan.wasserstein_w = mech.wasserstein_sensitivity();
+  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
+  if (pairs_.empty()) {
+    return Status::InvalidArgument("no secret pairs supplied");
+  }
+  // W = max over pairs of W_inf(mu_i, mu_j); the release is Lap(W/epsilon).
+  double w = 0.0;
+  for (const ConditionalOutputPair& pair : pairs_) {
+    PF_ASSIGN_OR_RETURN(double wij,
+                        WassersteinInf(pair.mu_i, pair.mu_j, backend_));
+    w = std::max(w, wij);
+  }
+  MechanismPlan plan = NewPlan(epsilon, w / epsilon);
+  plan.wasserstein_w = w;
   return plan;
 }
 

@@ -6,7 +6,7 @@
 //        |  Analyze(epsilon)          expensive, data-independent
 //        v
 //     MechanismPlan (sigma, diagnostics)
-//        |  Release / ReleaseBatch    cheap, per query, explicit Rng
+//        |  Release / ReleaseVector   cheap, per query, explicit Rng
 //        v
 //     noisy value(s)
 //
@@ -180,18 +180,6 @@ Result<double> Release(const MechanismPlan& plan, double value,
 Result<Vector> ReleaseVector(const MechanismPlan& plan, const Vector& value,
                              double lipschitz, Rng* rng);
 
-/// \brief Batch release of many scalar query values under one plan — the
-/// serving-path fast route: one analysis, N cheap draws. Composition is the
-/// caller's ledger (see CompositionAccountant).
-Result<Vector> ReleaseBatch(const MechanismPlan& plan,
-                            const std::vector<double>& values,
-                            double lipschitz, Rng* rng);
-
-/// Batch release of many vector query values under one plan.
-Result<std::vector<Vector>> ReleaseBatch(const MechanismPlan& plan,
-                                         const std::vector<Vector>& values,
-                                         double lipschitz, Rng* rng);
-
 /// \brief Columnar batch release — the noise half of the columnar serving
 /// path. `batch` arrives with truth values, per-row noise scales
 /// (lipschitz * sigma, the clip kernel's output), and tickets populated;
@@ -254,7 +242,9 @@ class Gk16Unified : public Mechanism {
   std::size_t length_;
 };
 
-/// Algorithm 1 over explicitly enumerated conditional output pairs.
+/// Algorithm 1 over explicitly enumerated conditional output pairs: W is
+/// the max over pairs of W_inf(mu_i, mu_j), and the plan's sigma is
+/// W / epsilon. An empty pair list is InvalidArgument.
 class WassersteinUnified : public Mechanism {
  public:
   explicit WassersteinUnified(

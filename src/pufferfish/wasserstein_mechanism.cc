@@ -1,28 +1,8 @@
 #include "pufferfish/wasserstein_mechanism.h"
 
-#include <algorithm>
 #include <map>
 
 namespace pf {
-
-Result<WassersteinMechanism> WassersteinMechanism::Make(
-    const std::vector<ConditionalOutputPair>& pairs, double epsilon,
-    WassersteinBackend backend) {
-  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
-  if (pairs.empty()) {
-    return Status::InvalidArgument("no secret pairs supplied");
-  }
-  double w = 0.0;
-  for (const ConditionalOutputPair& pair : pairs) {
-    PF_ASSIGN_OR_RETURN(double wij, WassersteinInf(pair.mu_i, pair.mu_j, backend));
-    w = std::max(w, wij);
-  }
-  return WassersteinMechanism(w, epsilon);
-}
-
-double WassersteinMechanism::Release(double true_value, Rng* rng) const {
-  return AddLaplaceNoise(true_value, noise_scale(), rng);
-}
 
 Result<DiscreteDistribution> ConditionalOutputDistribution(
     const BayesianNetwork& bn,

@@ -6,6 +6,10 @@
 // epsilon-Pufferfish private; when Pufferfish reduces to differential
 // privacy, W reduces to the global sensitivity and the mechanism to the
 // Laplace mechanism.
+//
+// The mechanism itself is WassersteinUnified (pufferfish/mechanism.h); this
+// header holds its input, the conditional output pairs, and the helpers
+// that enumerate them for Bayesian-network instantiations.
 #ifndef PUFFERFISH_PUFFERFISH_WASSERSTEIN_MECHANISM_H_
 #define PUFFERFISH_PUFFERFISH_WASSERSTEIN_MECHANISM_H_
 
@@ -27,35 +31,6 @@ namespace pf {
 struct ConditionalOutputPair {
   DiscreteDistribution mu_i;
   DiscreteDistribution mu_j;
-};
-
-/// \brief The generic Wasserstein Mechanism over explicitly supplied
-/// conditional output distributions.
-///
-/// This is the fully general entry point: *any* Pufferfish instantiation can
-/// be used by enumerating its secret pairs and thetas and supplying the
-/// conditional distributions of F(X). Helpers below do this enumeration for
-/// Bayesian-network instantiations.
-class WassersteinMechanism {
- public:
-  /// Computes W = max over pairs of W_inf(mu_i, mu_j) and prepares the
-  /// mechanism. Fails if `pairs` is empty or epsilon invalid.
-  static Result<WassersteinMechanism> Make(
-      const std::vector<ConditionalOutputPair>& pairs, double epsilon,
-      WassersteinBackend backend = WassersteinBackend::kQuantile);
-
-  /// The sensitivity parameter W of Algorithm 1.
-  double wasserstein_sensitivity() const { return w_; }
-  /// Laplace scale W / epsilon.
-  double noise_scale() const { return w_ / epsilon_; }
-
-  /// Releases F(D) + Lap(W/epsilon).
-  double Release(double true_value, Rng* rng) const;
-
- private:
-  WassersteinMechanism(double w, double epsilon) : w_(w), epsilon_(epsilon) {}
-  double w_;
-  double epsilon_;
 };
 
 /// \brief Enumerates the Section 4.1 instantiation over a Bayesian-network

@@ -150,7 +150,7 @@ TEST(AdmissionTest, InFlightCapShedsPreChargeAndReopens) {
       },
       /*lipschitz=*/1.0, /*epsilon=*/1.0);
 
-  auto held = session->Submit(blocking, data, RequestOptions{});
+  auto held = session->Submit(blocking, data);
   EXPECT_EQ(session->in_flight(), 1u);
 
   // At the cap: refused with Unavailable, nothing charged for the refusal.

@@ -11,6 +11,10 @@
 
 #include <atomic>
 #include <cstddef>
+#include <functional>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/fingerprint.h"
@@ -297,7 +301,7 @@ TEST(DeadlineTest, ExpiredDeadlineNeverDebitsTheLedger) {
   expired.deadline = Deadline::Expired();
   auto future = session->Submit(
       QuerySpec::Sum(1.0), std::make_shared<const StateSequence>(data),
-      expired);
+      DataWindow::All(), expired);
   const auto result = future.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
@@ -307,7 +311,8 @@ TEST(DeadlineTest, ExpiredDeadlineNeverDebitsTheLedger) {
   EXPECT_EQ(engine->executor().stats().submitted, 0u);
 
   // Synchronous Release honors the same contract.
-  const auto released = session->Release(QuerySpec::Sum(1.0), data, expired);
+  const auto released =
+      session->Release(QuerySpec::Sum(1.0), data, DataWindow::All(), expired);
   ASSERT_FALSE(released.ok());
   EXPECT_EQ(released.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_DOUBLE_EQ(session->EpsilonSpent(), 0.0);
@@ -315,6 +320,82 @@ TEST(DeadlineTest, ExpiredDeadlineNeverDebitsTheLedger) {
   // The full budget is still spendable afterwards.
   EXPECT_TRUE(session->Release(QuerySpec::Sum(1.0), data).ok());
   EXPECT_DOUBLE_EQ(session->EpsilonSpent(), 1.0);
+}
+
+// Every release entry point refuses through the same prologue, at the full
+// record and at a suffix window alike: an expired deadline is
+// DeadlineExceeded and a cold-analysis opt-out at an uncached epsilon is
+// Unavailable, before the ledger or the executor is touched.
+TEST(DeadlineTest, EveryEntryPointRefusesBeforeChargingOrAdmitting) {
+  auto engine =
+      PrivacyEngine::Create(ModelSpec::ChainClass({SmallChain(0.8, 0.7)}, 40))
+          .ValueOrDie();
+  // Epsilon 1 is cached, so its refusal can only come from the deadline;
+  // epsilon 0.7 is never compiled.
+  ASSERT_TRUE(engine->Compile(QuerySpec::Sum(1.0)).ok());
+  const StateSequence data(40, 1);
+  const auto shared = std::make_shared<const StateSequence>(data);
+
+  RequestOptions expired;
+  expired.deadline = Deadline::Expired();
+  RequestOptions warm_only;
+  warm_only.allow_cold_analysis = false;
+  struct Refusal {
+    const char* name;
+    RequestOptions request;
+    double epsilon;
+    StatusCode code;
+  };
+  const Refusal refusals[] = {
+      {"expired deadline", expired, 1.0, StatusCode::kDeadlineExceeded},
+      {"cold analysis disallowed", warm_only, 0.7, StatusCode::kUnavailable},
+  };
+  using EntryPoint = std::function<Status(Session*, const QuerySpec&,
+                                          const DataWindow&,
+                                          const RequestOptions&)>;
+  const std::pair<const char*, EntryPoint> entries[] = {
+      {"Release",
+       [&](Session* s, const QuerySpec& spec, const DataWindow& window,
+           const RequestOptions& request) {
+         return s->Release(spec, data, window, request).status();
+       }},
+      {"Submit(const&)",
+       [&](Session* s, const QuerySpec& spec, const DataWindow& window,
+           const RequestOptions& request) {
+         return s->Submit(spec, data, window, request).get().status();
+       }},
+      {"Submit(shared_ptr)",
+       [&](Session* s, const QuerySpec& spec, const DataWindow& window,
+           const RequestOptions& request) {
+         return s->Submit(spec, shared, window, request).get().status();
+       }},
+      {"SubmitColumnar",
+       [&](Session* s, const QuerySpec& spec, const DataWindow& window,
+           const RequestOptions& request) {
+         BatchQuerySpec batch;
+         batch.Add(spec, window);
+         return s->SubmitColumnar(batch, data, request).get().status();
+       }},
+  };
+  const DataWindow windows[] = {DataWindow::All(), DataWindow::Last(8)};
+
+  for (const Refusal& refusal : refusals) {
+    for (const DataWindow& window : windows) {
+      for (const auto& [name, entry] : entries) {
+        SCOPED_TRACE(std::string(name) + ", " + refusal.name +
+                     (window.full_record() ? ", All()" : ", Last(8)"));
+        auto session = engine->CreateSession();
+        const std::uint64_t submitted = engine->executor().stats().submitted;
+        const Status status = entry(session.get(),
+                                    QuerySpec::Sum(refusal.epsilon), window,
+                                    refusal.request);
+        EXPECT_EQ(status.code(), refusal.code) << status.ToString();
+        EXPECT_EQ(session->EpsilonSpent(), 0.0);
+        EXPECT_EQ(session->num_releases(), 0u);
+        EXPECT_EQ(engine->executor().stats().submitted, submitted);
+      }
+    }
+  }
 }
 
 }  // namespace

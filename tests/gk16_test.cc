@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "pufferfish/framework.h"
+#include "pufferfish/mechanism.h"
 
 namespace pf {
 namespace {
@@ -64,20 +65,25 @@ TEST(Gk16Test, ClassTakesWorstNu) {
 
 TEST(Gk16Test, ReleaseFailsWhenInapplicable) {
   const Matrix p{{1.0, 0.0}, {0.5, 0.5}};
-  const Gk16Analysis a = Gk16Analyze({p}, 100, 1.0).ValueOrDie();
+  const MechanismPlan plan =
+      Gk16Unified(std::vector<Matrix>{p}, 100).Analyze(1.0).ValueOrDie();
+  EXPECT_FALSE(plan.applicable);
   Rng rng(1);
-  EXPECT_FALSE(Gk16ReleaseScalar(a, 0.0, 1.0, &rng).ok());
-  EXPECT_FALSE(Gk16ReleaseVector(a, {0.0}, 1.0, &rng).ok());
+  EXPECT_FALSE(Release(plan, 0.0, 1.0, &rng).ok());
+  EXPECT_FALSE(ReleaseVector(plan, {0.0}, 1.0, &rng).ok());
 }
 
 TEST(Gk16Test, ReleaseNoiseCalibrated) {
   const Matrix p = BinaryChainIntervalClass::TransitionFor(0.55, 0.55);
-  const Gk16Analysis a = Gk16Analyze({p}, 100, 1.0).ValueOrDie();
+  const MechanismPlan plan =
+      Gk16Unified(std::vector<Matrix>{p}, 100).Analyze(1.0).ValueOrDie();
+  const Gk16Analysis& a = plan.gk16;
+  EXPECT_EQ(plan.sigma, a.sigma);
   Rng rng(2);
   double abs_err = 0.0;
   const int n = 50000;
   for (int i = 0; i < n; ++i) {
-    abs_err += std::fabs(Gk16ReleaseScalar(a, 0.0, 1.0, &rng).ValueOrDie());
+    abs_err += std::fabs(Release(plan, 0.0, 1.0, &rng).ValueOrDie());
   }
   EXPECT_NEAR(abs_err / n, a.sigma, 0.05 * a.sigma + 0.01);
 }

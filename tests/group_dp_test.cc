@@ -4,17 +4,19 @@
 
 #include <cmath>
 
+#include "pufferfish/mechanism.h"
+
 namespace pf {
 namespace {
 
 TEST(GroupDpTest, ScaleIsGroupSensitivityOverEpsilon) {
-  const auto m = GroupDpMechanism::Make(4.0, 2.0).ValueOrDie();
-  EXPECT_DOUBLE_EQ(m.noise_scale(), 2.0);
+  const auto plan = GroupDpUnified(4.0).Analyze(2.0).ValueOrDie();
+  EXPECT_DOUBLE_EQ(plan.sigma, 2.0);
 }
 
 TEST(GroupDpTest, Validation) {
-  EXPECT_FALSE(GroupDpMechanism::Make(1.0, -1.0).ok());
-  EXPECT_FALSE(GroupDpMechanism::Make(-1.0, 1.0).ok());
+  EXPECT_FALSE(GroupDpUnified(1.0).Analyze(-1.0).ok());
+  EXPECT_FALSE(GroupDpUnified(-1.0).Analyze(1.0).ok());
 }
 
 TEST(GroupDpTest, RelativeFrequencySensitivitySingleChain) {
@@ -44,12 +46,12 @@ TEST(GroupDpTest, ExpectedErrorMatchesPaperScaling) {
   // (reported as ~5, ~1, ~0.2 for epsilon = 0.2, 1, 5).
   Rng rng(8);
   for (double eps : {0.2, 1.0, 5.0}) {
-    const auto m = GroupDpMechanism::Make(MeanStateGroupSensitivity(2), eps)
-                       .ValueOrDie();
+    const auto plan =
+        GroupDpUnified(MeanStateGroupSensitivity(2)).Analyze(eps).ValueOrDie();
     double abs_err = 0.0;
     const int n = 40000;
     for (int i = 0; i < n; ++i) {
-      abs_err += std::fabs(m.ReleaseScalar(0.0, &rng));
+      abs_err += std::fabs(Release(plan, 0.0, 1.0, &rng).ValueOrDie());
     }
     EXPECT_NEAR(abs_err / n, 1.0 / eps, 0.12 / eps);
   }

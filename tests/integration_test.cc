@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
+#include <memory>
+#include <vector>
 
 #include "baselines/group_dp.h"
 #include "common/histogram.h"
@@ -147,8 +150,11 @@ TEST(IntegrationTest, ActivityPipelineMqmBeatsGroupDp) {
   auto session = engine->CreateSession(session_options);
   double err = 0.0;
   const int trials = 20;
-  auto futures = session->SubmitBatch(
-      aggregate, std::vector<StateSequence>(trials, pooled));
+  const auto shared = std::make_shared<const StateSequence>(pooled);
+  std::vector<std::future<Result<ReleaseResult>>> futures;
+  for (int t = 0; t < trials; ++t) {
+    futures.push_back(session->Submit(aggregate, shared));
+  }
   for (auto& f : futures) {
     err += DistanceL1(f.get().ValueOrDie().value, truth);
   }

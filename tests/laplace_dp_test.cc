@@ -1,36 +1,38 @@
-#include "baselines/laplace_dp.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
+
+#include "pufferfish/mechanism.h"
 
 namespace pf {
 namespace {
 
 TEST(LaplaceDpTest, ScaleIsSensitivityOverEpsilon) {
-  const auto m = LaplaceDpMechanism::Make(2.0, 0.5).ValueOrDie();
-  EXPECT_DOUBLE_EQ(m.noise_scale(), 4.0);
+  const auto plan = LaplaceDpUnified(2.0).Analyze(0.5).ValueOrDie();
+  EXPECT_DOUBLE_EQ(plan.sigma, 4.0);
 }
 
 TEST(LaplaceDpTest, Validation) {
-  EXPECT_FALSE(LaplaceDpMechanism::Make(1.0, 0.0).ok());
-  EXPECT_FALSE(LaplaceDpMechanism::Make(-1.0, 1.0).ok());
-  EXPECT_TRUE(LaplaceDpMechanism::Make(0.0, 1.0).ok());
+  EXPECT_FALSE(LaplaceDpUnified(1.0).Analyze(0.0).ok());
+  EXPECT_FALSE(LaplaceDpUnified(-1.0).Analyze(1.0).ok());
+  EXPECT_TRUE(LaplaceDpUnified(0.0).Analyze(1.0).ok());
 }
 
 TEST(LaplaceDpTest, ScalarNoiseMagnitude) {
-  const auto m = LaplaceDpMechanism::Make(1.0, 1.0).ValueOrDie();
+  const auto plan = LaplaceDpUnified(1.0).Analyze(1.0).ValueOrDie();
   Rng rng(3);
   double abs_err = 0.0;
   const int n = 100000;
-  for (int i = 0; i < n; ++i) abs_err += std::fabs(m.ReleaseScalar(5.0, &rng) - 5.0);
+  for (int i = 0; i < n; ++i) {
+    abs_err += std::fabs(Release(plan, 5.0, 1.0, &rng).ValueOrDie() - 5.0);
+  }
   EXPECT_NEAR(abs_err / n, 1.0, 0.02);
 }
 
 TEST(LaplaceDpTest, VectorReleasePerCoordinate) {
-  const auto m = LaplaceDpMechanism::Make(0.0, 1.0).ValueOrDie();
+  const auto plan = LaplaceDpUnified(0.0).Analyze(1.0).ValueOrDie();
   Rng rng(3);
-  const Vector v = m.ReleaseVector({1.0, 2.0}, &rng);
+  const Vector v = ReleaseVector(plan, {1.0, 2.0}, 1.0, &rng).ValueOrDie();
   EXPECT_DOUBLE_EQ(v[0], 1.0);
   EXPECT_DOUBLE_EQ(v[1], 2.0);
 }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "common/random.h"
 #include "pufferfish/mqm_exact.h"
 
 namespace pf {
@@ -122,10 +123,10 @@ TEST(MarkovQuiltMechanismTest, ReleaseHelpers) {
   double abs_sum = 0.0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
-    abs_sum += std::fabs(MqmReleaseScalar(1.0, 0.5, 3.0, &rng) - 1.0);
+    abs_sum += std::fabs(AddLaplaceNoise(1.0, 0.5 * 3.0, &rng) - 1.0);
   }
   EXPECT_NEAR(abs_sum / n, 1.5, 0.02);  // E|Lap(L * sigma)| = 1.5.
-  const Vector noisy = MqmReleaseVector({1.0, 2.0, 3.0}, 1.0, 0.0, &rng);
+  const Vector noisy = AddLaplaceNoise(Vector{1.0, 2.0, 3.0}, 0.0, &rng);
   EXPECT_DOUBLE_EQ(noisy[0], 1.0);  // sigma = 0: no noise.
 }
 

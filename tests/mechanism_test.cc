@@ -1,6 +1,6 @@
 // The unified Mechanism engine: every mechanism reachable through the
-// analyze/release split, plans agreeing with the legacy per-mechanism
-// entry points, and the shared release path behaving identically for all.
+// analyze/release split, plans agreeing with the per-mechanism analyses,
+// and the shared release path behaving identically for all.
 #include "pufferfish/mechanism.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/laplace_dp.h"
 #include "data/flu.h"
 #include "graphical/markov_chain.h"
 
@@ -65,12 +64,6 @@ TEST(MechanismTest, AllSevenMechanismsReachable) {
   }
 }
 
-TEST(MechanismTest, PlanMatchesLegacyLaplaceDp) {
-  const auto legacy = LaplaceDpMechanism::Make(3.0, 0.5).ValueOrDie();
-  const auto plan = LaplaceDpUnified(3.0).Analyze(0.5).ValueOrDie();
-  EXPECT_DOUBLE_EQ(plan.sigma, legacy.noise_scale());
-}
-
 TEST(MechanismTest, PlanMatchesLegacyMqmExact) {
   const MarkovChain chain = TestChain(0.9, 0.6);
   ChainMqmOptions options;
@@ -83,32 +76,25 @@ TEST(MechanismTest, PlanMatchesLegacyMqmExact) {
   EXPECT_EQ(plan.chain.worst_node, legacy.worst_node);
 }
 
-// Releases through the engine are bit-identical to the legacy release path
-// under the same seed: one shared Laplace primitive.
-TEST(MechanismTest, SeededReleaseMatchesLegacyPath) {
-  const auto plan = GroupDpUnified(4.0).Analyze(2.0).ValueOrDie();
-  Rng rng_a(123), rng_b(123);
-  const double via_engine = Release(plan, 1.5, 1.0, &rng_a).ValueOrDie();
-  const double via_legacy = MqmReleaseScalar(1.5, 1.0, plan.sigma, &rng_b);
-  EXPECT_DOUBLE_EQ(via_engine, via_legacy);
-}
-
-TEST(MechanismTest, ReleaseBatchMatchesScalarLoop) {
+TEST(MechanismTest, ReleaseVectorMatchesScalarLoop) {
   const auto plan = LaplaceDpUnified(1.0).Analyze(1.0).ValueOrDie();
   const std::vector<double> values = {1.0, 2.0, 3.0, 4.0};
   Rng rng_a(9), rng_b(9);
-  const Vector batch = ReleaseBatch(plan, values, 1.0, &rng_a).ValueOrDie();
+  const Vector batch = ReleaseVector(plan, values, 1.0, &rng_a).ValueOrDie();
   ASSERT_EQ(batch.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
     EXPECT_DOUBLE_EQ(batch[i], Release(plan, values[i], 1.0, &rng_b).ValueOrDie());
   }
 }
 
-TEST(MechanismTest, ReleaseBatchOfVectors) {
+TEST(MechanismTest, ReleaseVectorPerDatabase) {
   const auto plan = LaplaceDpUnified(1.0).Analyze(1.0).ValueOrDie();
   Rng rng(11);
   const std::vector<Vector> truths = {{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
-  const auto noisy = ReleaseBatch(plan, truths, 1.0, &rng).ValueOrDie();
+  std::vector<Vector> noisy;
+  for (const Vector& truth : truths) {
+    noisy.push_back(ReleaseVector(plan, truth, 1.0, &rng).ValueOrDie());
+  }
   ASSERT_EQ(noisy.size(), truths.size());
   for (std::size_t i = 0; i < truths.size(); ++i) {
     ASSERT_EQ(noisy[i].size(), truths[i].size());

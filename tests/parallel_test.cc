@@ -9,6 +9,7 @@
 #include <numeric>
 #include <vector>
 
+#include "common/random.h"
 #include "graphical/markov_chain.h"
 #include "pufferfish/markov_quilt_mechanism.h"
 #include "pufferfish/mechanism.h"
@@ -103,7 +104,7 @@ TEST(DeterminismTest, GeneralMqmAcrossThreadCounts) {
   std::vector<double> releases;
   for (const MqmAnalysis& analysis : analyses) {
     Rng rng(2024);
-    releases.push_back(MqmReleaseScalar(3.5, 1.0, analysis.sigma_max, &rng));
+    releases.push_back(AddLaplaceNoise(3.5, analysis.sigma_max, &rng));
   }
   EXPECT_EQ(releases[0], releases[1]);
   EXPECT_EQ(releases[0], releases[2]);
@@ -130,7 +131,7 @@ TEST(DeterminismTest, MqmExactAcrossThreadCounts) {
   for (const ChainMqmResult& r : results) {
     Rng rng(77);
     releases.push_back(
-        MqmReleaseVector({1.0, 2.0, 3.0}, 0.02, r.sigma_max, &rng));
+        AddLaplaceNoise(Vector{1.0, 2.0, 3.0}, 0.02 * r.sigma_max, &rng));
   }
   EXPECT_EQ(releases[0], releases[1]);
   EXPECT_EQ(releases[0], releases[2]);

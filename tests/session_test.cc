@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "graphical/markov_chain.h"
@@ -448,6 +449,99 @@ TEST(SessionWindowTest, AsyncWindowSubmitMatchesSyncRelease) {
   EXPECT_EQ(sync.epsilon, async.epsilon);
 }
 
+// DataWindow::All() is the full record on every path: the scalar window
+// overloads compile it at the engine's record length, exactly like the
+// unwindowed call and the columnar All() row, even when the database is
+// shorter than the model (60 observations under a length-100 model; the
+// Mean's 1/T factor would otherwise differ).
+TEST(SessionWindowTest, AllWindowMatchesFullRecordOnEveryPath) {
+  auto engine = PrivacyEngine::Create(
+                    ModelSpec::ChainClass({TestChain(0.8, 0.7)}, 100))
+                    .ValueOrDie();
+  StateSequence data(60, 0);
+  for (std::size_t t = 0; t < data.size(); t += 3) data[t] = 1;
+  const QuerySpec spec = QuerySpec::Mean(1.0);
+  SessionOptions options;
+  options.seed = 9;
+
+  // Each call on a fresh session with the same seed: all release ticket 0.
+  auto plain_session = engine->CreateSession(options);
+  const ReleaseResult plain =
+      plain_session->Release(spec, data).ValueOrDie();
+  auto all_session = engine->CreateSession(options);
+  const ReleaseResult all =
+      all_session->Release(spec, data, DataWindow::All()).ValueOrDie();
+  auto submit_session = engine->CreateSession(options);
+  const ReleaseResult submitted =
+      submit_session->Submit(spec, data, DataWindow::All()).get().ValueOrDie();
+  auto columnar_session = engine->CreateSession(options);
+  BatchQuerySpec batch;
+  batch.Add(spec, DataWindow::All());
+  const BatchReleaseResult columnar =
+      columnar_session->SubmitColumnar(batch, data).get().ValueOrDie();
+
+  EXPECT_EQ(all.value[0], plain.value[0]);
+  EXPECT_EQ(submitted.value[0], plain.value[0]);
+  EXPECT_EQ(columnar.batch.row(0)[0], plain.value[0]);
+  EXPECT_EQ(all.epsilon, plain.epsilon);
+  EXPECT_EQ(submitted.epsilon, plain.epsilon);
+  EXPECT_EQ(columnar.batch.epsilons()[0], plain.epsilon);
+  for (Session* session : {plain_session.get(), all_session.get(),
+                           submit_session.get(), columnar_session.get()}) {
+    EXPECT_EQ(session->EpsilonSpent(), 1.0);
+    EXPECT_EQ(session->num_releases(), 1u);
+  }
+}
+
+// A full-record Mean over a database LONGER than the model would divide by
+// the model's T (200 all-one observations under a length-100 model would
+// release about 2). Every path refuses it before the charge. A suffix
+// window of the same record still compiles, and so do the T-free queries a
+// pooled record of independent chains is served with (CountHistogram, and
+// a custom query whose Lipschitz constant is the caller's).
+TEST(SessionWindowTest, AllWindowLongerThanModelRefusedOnEveryPath) {
+  auto engine = ChainEngine(100);
+  auto session = engine->CreateSession();
+  const StateSequence data(200, 1);
+  const QuerySpec spec = QuerySpec::Mean(1.0);
+  const std::uint64_t submitted = engine->executor().stats().submitted;
+
+  std::vector<Status> refusals;
+  refusals.push_back(session->Release(spec, data).status());
+  refusals.push_back(
+      session->Release(spec, data, DataWindow::All()).status());
+  refusals.push_back(session->Submit(spec, data).get().status());
+  refusals.push_back(
+      session->Submit(spec, std::make_shared<const StateSequence>(data))
+          .get()
+          .status());
+  BatchQuerySpec batch;
+  batch.Add(spec, DataWindow::All());
+  refusals.push_back(session->SubmitColumnar(batch, data).get().status());
+  for (auto& future : session->SubmitBatch({spec, spec}, data)) {
+    refusals.push_back(future.get().status());
+  }
+  for (const Status& status : refusals) {
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  }
+  EXPECT_EQ(session->EpsilonSpent(), 0.0);
+  EXPECT_EQ(session->num_releases(), 0u);
+  EXPECT_EQ(engine->executor().stats().submitted, submitted);
+
+  EXPECT_TRUE(session->Release(spec, data, DataWindow::Last(8)).ok());
+  const QuerySpec pooled_mean = QuerySpec::CustomScalar(
+      "pooled-mean",
+      [](const StateSequence& seq) {
+        double sum = 0.0;
+        for (const int x : seq) sum += x;
+        return sum / static_cast<double>(seq.size());
+      },
+      /*lipschitz=*/1.0 / 200.0);
+  EXPECT_TRUE(session->Release(pooled_mean, data).ok());
+  EXPECT_TRUE(session->Release(QuerySpec::CountHistogram(1.0), data).ok());
+  EXPECT_EQ(session->num_releases(), 3u);
+}
+
 TEST(SessionTest, SubmitBatchManyQueriesOneDatabase) {
   auto engine = LaplaceEngine();
   auto session = engine->CreateSession();
@@ -458,14 +552,16 @@ TEST(SessionTest, SubmitBatchManyQueriesOneDatabase) {
   EXPECT_EQ(session->num_releases(), 10u);
 }
 
-TEST(SessionTest, SubmitBatchOneQueryManyDatabases) {
+TEST(SessionTest, NullSharedDatabaseRefusedWithoutCharging) {
   auto engine = LaplaceEngine();
   auto session = engine->CreateSession();
-  std::vector<StateSequence> batch(7, kData);
-  auto futures = session->SubmitBatch(QuerySpec::Sum(1.0), batch);
-  ASSERT_EQ(futures.size(), 7u);
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(session->num_releases(), 7u);
+  const auto result =
+      session->Submit(QuerySpec::Sum(1.0),
+                      std::shared_ptr<const StateSequence>())
+          .get();
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(session->num_releases(), 0u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "data/flu.h"
+#include "pufferfish/mechanism.h"
 
 namespace pf {
 namespace {
@@ -16,40 +17,44 @@ namespace {
 TEST(WassersteinMechanismTest, FluExampleSensitivityIsTwo) {
   const FluCliqueModel clique = FluCliqueModel::PaperExample();
   const ConditionalOutputPair pair = clique.CountQueryOutputPair().ValueOrDie();
-  const auto mech = WassersteinMechanism::Make({pair}, 1.0);
-  ASSERT_TRUE(mech.ok());
-  EXPECT_NEAR(mech.value().wasserstein_sensitivity(), 2.0, 1e-9);
-  EXPECT_NEAR(mech.value().noise_scale(), 2.0, 1e-9);
-  EXPECT_LT(mech.value().wasserstein_sensitivity(), clique.GroupSensitivity());
+  const auto plan = WassersteinUnified({pair}).Analyze(1.0);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NEAR(plan.value().wasserstein_w, 2.0, 1e-9);
+  EXPECT_NEAR(plan.value().sigma, 2.0, 1e-9);
+  EXPECT_LT(plan.value().wasserstein_w, clique.GroupSensitivity());
 }
 
 TEST(WassersteinMechanismTest, NoiseScaleInverseInEpsilon) {
   const ConditionalOutputPair pair =
       FluCliqueModel::PaperExample().CountQueryOutputPair().ValueOrDie();
-  const auto tight = WassersteinMechanism::Make({pair}, 5.0).ValueOrDie();
-  const auto loose = WassersteinMechanism::Make({pair}, 0.2).ValueOrDie();
-  EXPECT_NEAR(tight.noise_scale(), 0.4, 1e-9);
-  EXPECT_NEAR(loose.noise_scale(), 10.0, 1e-9);
+  const WassersteinUnified mech({pair});
+  const auto tight = mech.Analyze(5.0).ValueOrDie();
+  const auto loose = mech.Analyze(0.2).ValueOrDie();
+  EXPECT_NEAR(tight.sigma, 0.4, 1e-9);
+  EXPECT_NEAR(loose.sigma, 10.0, 1e-9);
 }
 
 TEST(WassersteinMechanismTest, ValidatesInputs) {
   const ConditionalOutputPair pair =
       FluCliqueModel::PaperExample().CountQueryOutputPair().ValueOrDie();
-  EXPECT_FALSE(WassersteinMechanism::Make({}, 1.0).ok());
-  EXPECT_FALSE(WassersteinMechanism::Make({pair}, 0.0).ok());
+  const Result<MechanismPlan> no_pairs =
+      WassersteinUnified(std::vector<ConditionalOutputPair>{}).Analyze(1.0);
+  ASSERT_FALSE(no_pairs.ok());
+  EXPECT_EQ(no_pairs.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(WassersteinUnified({pair}).Analyze(0.0).ok());
 }
 
 TEST(WassersteinMechanismTest, ReleaseAddsCalibratedNoise) {
   const ConditionalOutputPair pair =
       FluCliqueModel::PaperExample().CountQueryOutputPair().ValueOrDie();
-  const auto mech = WassersteinMechanism::Make({pair}, 1.0).ValueOrDie();
+  const auto plan = WassersteinUnified({pair}).Analyze(1.0).ValueOrDie();
   Rng rng(99);
   double abs_err = 0.0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
-    abs_err += std::fabs(mech.Release(2.0, &rng) - 2.0);
+    abs_err += std::fabs(Release(plan, 2.0, 1.0, &rng).ValueOrDie() - 2.0);
   }
-  EXPECT_NEAR(abs_err / n, mech.noise_scale(), 0.05);
+  EXPECT_NEAR(abs_err / n, plan.sigma, 0.05);
 }
 
 // When Pufferfish reduces to differential privacy (independent records), the
@@ -68,8 +73,8 @@ TEST(WassersteinMechanismTest, ReducesToLaplaceForIndependentRecords) {
   const auto pairs = EnumerateBayesNetOutputPairs({bn}, query);
   ASSERT_TRUE(pairs.ok());
   EXPECT_EQ(pairs.value().size(), 3u);
-  const auto mech = WassersteinMechanism::Make(pairs.value(), 1.0).ValueOrDie();
-  EXPECT_NEAR(mech.wasserstein_sensitivity(), 1.0, 1e-9);
+  const auto plan = WassersteinUnified(pairs.value()).Analyze(1.0).ValueOrDie();
+  EXPECT_NEAR(plan.wasserstein_w, 1.0, 1e-9);
 }
 
 // Theorem 3.3 check: W never exceeds the group-DP sensitivity. For a
@@ -83,8 +88,8 @@ TEST(WassersteinMechanismTest, PerfectCorrelationMatchesGroupSensitivity) {
     return static_cast<double>(a[0] + a[1]);
   };
   const auto pairs = EnumerateBayesNetOutputPairs({bn}, query).ValueOrDie();
-  const auto mech = WassersteinMechanism::Make(pairs, 1.0).ValueOrDie();
-  EXPECT_NEAR(mech.wasserstein_sensitivity(), 2.0, 1e-9);
+  const auto plan = WassersteinUnified(pairs).Analyze(1.0).ValueOrDie();
+  EXPECT_NEAR(plan.wasserstein_w, 2.0, 1e-9);
 }
 
 // Partial correlation gives W strictly between the DP sensitivity (1) and
@@ -97,9 +102,9 @@ TEST(WassersteinMechanismTest, PartialCorrelationBetweenBounds) {
     return static_cast<double>(a[0] + a[1]);
   };
   const auto pairs = EnumerateBayesNetOutputPairs({bn}, query).ValueOrDie();
-  const auto mech = WassersteinMechanism::Make(pairs, 1.0).ValueOrDie();
-  EXPECT_GE(mech.wasserstein_sensitivity(), 1.0 - 1e-9);
-  EXPECT_LE(mech.wasserstein_sensitivity(), 2.0 + 1e-9);
+  const auto plan = WassersteinUnified(pairs).Analyze(1.0).ValueOrDie();
+  EXPECT_GE(plan.wasserstein_w, 1.0 - 1e-9);
+  EXPECT_LE(plan.wasserstein_w, 2.0 + 1e-9);
 }
 
 TEST(WassersteinMechanismTest, ConditionalOutputDistribution) {
@@ -137,15 +142,17 @@ TEST(WassersteinMechanismTest, MaxOverThetaClass) {
     return static_cast<double>(a[0] + a[1]);
   };
   const auto weak_only =
-      WassersteinMechanism::Make(
-          EnumerateBayesNetOutputPairs({weak}, query).ValueOrDie(), 1.0)
+      WassersteinUnified(
+          EnumerateBayesNetOutputPairs({weak}, query).ValueOrDie())
+          .Analyze(1.0)
           .ValueOrDie();
   const auto both =
-      WassersteinMechanism::Make(
-          EnumerateBayesNetOutputPairs({weak, strong}, query).ValueOrDie(), 1.0)
+      WassersteinUnified(
+          EnumerateBayesNetOutputPairs({weak, strong}, query).ValueOrDie())
+          .Analyze(1.0)
           .ValueOrDie();
-  EXPECT_NEAR(weak_only.wasserstein_sensitivity(), 1.0, 1e-9);
-  EXPECT_NEAR(both.wasserstein_sensitivity(), 2.0, 1e-9);
+  EXPECT_NEAR(weak_only.wasserstein_w, 1.0, 1e-9);
+  EXPECT_NEAR(both.wasserstein_w, 2.0, 1e-9);
 }
 
 }  // namespace
