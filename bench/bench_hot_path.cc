@@ -11,12 +11,16 @@
 //  3. A warm restart (LoadAnalyses from a plan snapshot) replaces the cold
 //     T=1e5 analysis with a file read (compare BM_Restart/warm:1 vs
 //     warm:0).
+//  4. The per-ticket noise stage (BatchLaplaceNoise, one stream per row)
+//     costs ns_per_draw per Laplace draw, stream setup included
+//     (BM_TicketNoise, rows x width).
 //
 // CI runs this with --benchmark_format=json --benchmark_out=
 // BENCH_hot_path.json and archives the file.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -26,6 +30,7 @@
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "data/topologies.h"
+#include "engine/batch_kernels.h"
 #include "engine/engine.h"
 #include "graphical/elimination.h"
 #include "graphical/markov_chain.h"
@@ -285,6 +290,45 @@ BENCHMARK(BM_Restart)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
+
+// ------------------------------------------------- 4. per-ticket noise --
+
+// The serving noise stage as the columnar path runs it: `rows` tickets,
+// each its own stream keyed by TicketNoiseSeed, each drawing `width`
+// Laplace values. Arg0: rows, Arg1: width. rows:1/width:1 is the scalar
+// serving path's per-release noise cost; ns_per_draw divides the wall time
+// by rows * width, so per-stream setup is amortized only over one row.
+void BM_TicketNoise(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const std::size_t width = static_cast<std::size_t>(state.range(1));
+  std::vector<std::size_t> offsets(rows + 1);
+  for (std::size_t r = 0; r <= rows; ++r) offsets[r] = r * width;
+  std::vector<double> values(rows * width, 0.0);
+  const std::vector<double> scales(rows, 1.5);
+  std::vector<std::uint64_t> seeds(rows);
+  std::uint64_t ticket = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      seeds[r] = TicketNoiseSeed(0x5EED, ticket++);
+    }
+    BatchLaplaceNoise(values.data(), offsets.data(), scales.data(),
+                      seeds.data(), rows);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
+  }
+  const double elapsed_ns = std::chrono::duration<double, std::nano>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  state.counters["ns_per_draw"] =
+      elapsed_ns / static_cast<double>(state.iterations() * rows * width);
+}
+BENCHMARK(BM_TicketNoise)
+    ->ArgNames({"rows", "width"})
+    ->Args({1, 1})
+    ->Args({1, 8})
+    ->Args({1024, 1})
+    ->Args({1024, 8});
 
 }  // namespace
 }  // namespace pf

@@ -114,10 +114,6 @@ Vector AddLaplaceNoise(const Vector& value, double scale, Rng* rng) {
   return out;
 }
 
-void AddLaplaceNoise(double* values, std::size_t n, double scale, Rng* rng) {
-  for (std::size_t i = 0; i < n; ++i) values[i] += rng->Laplace(scale);
-}
-
 std::uint64_t TicketNoiseSeed(std::uint64_t seed, std::uint64_t ticket) {
   return SplitMix64(seed + 0x9E3779B97F4A7C15u * ticket);
 }

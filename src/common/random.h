@@ -1,6 +1,10 @@
 // Seeded random number generation: uniform, categorical and Laplace draws.
 // Every randomized component in the library takes an explicit Rng so that
-// experiments are reproducible bit-for-bit from a seed.
+// experiments are reproducible bit-for-bit from a seed. Rng (mt19937_64)
+// serves simulation, data generation and the mechanism-layer Release
+// functions; the serving paths (Session, the columnar batch plan) draw
+// their noise from the counter-based Philox kernel in engine/batch_kernels.h
+// instead, keyed by TicketNoiseSeed below.
 #ifndef PUFFERFISH_COMMON_RANDOM_H_
 #define PUFFERFISH_COMMON_RANDOM_H_
 
@@ -63,8 +67,9 @@ inline double LaplaceExpectedAbs(double scale) { return scale; }
 /// Laplace(0, scale). Finite for EVERY input: the boundary region
 /// (u so close to 0 that 1 - 2|u - 1/2| underflows to 0, where the naive
 /// formula returns -infinity) is clamped to the distribution's finite
-/// extreme. Rng::Laplace additionally redraws the exact boundary u = 0, so
-/// generator streams never even reach the clamp. Exposed so the boundary
+/// extreme. Neither generator reaches the clamp: Rng::Laplace redraws the
+/// exact boundary u = 0, and the serving kernel's uniforms
+/// (OpenUnitFromBits) lie strictly inside (0, 1). Exposed so the boundary
 /// behavior is testable without steering the generator onto the
 /// measure-zero draw.
 double LaplaceInverseCdf(double u, double scale);
@@ -77,15 +82,10 @@ double AddLaplaceNoise(double value, double scale, Rng* rng);
 /// that are Lipschitz in L1 over the whole vector).
 Vector AddLaplaceNoise(const Vector& value, double scale, Rng* rng);
 
-/// In-place variant over a raw buffer (the columnar serving path's noise
-/// primitive): values[i] += Lap(scale) for i in [0, n), drawing exactly the
-/// sequence the Vector overload would — a row noised here is bit-identical
-/// to AddLaplaceNoise(row_as_vector, scale, rng).
-void AddLaplaceNoise(double* values, std::size_t n, double scale, Rng* rng);
-
-/// \brief The per-ticket noise-stream seed shared by the scalar and
-/// columnar serving paths: SplitMix64 over (session seed, ticket). Each
-/// ticket gets an independent, reproducible stream regardless of which
+/// \brief The per-ticket noise-stream key shared by the scalar and
+/// columnar serving paths: SplitMix64 over (session seed, ticket). It keys
+/// the Philox kernel (AddTicketLaplaceNoise, engine/batch_kernels.h), so
+/// each ticket gets an independent, reproducible stream regardless of which
 /// executor thread — or which serving path — draws from it, which is the
 /// whole bit-identity story: a query released columnar under ticket t adds
 /// exactly the noise the scalar path would have added under ticket t.

@@ -1,8 +1,6 @@
 #include "engine/batch_kernels.h"
 
-#include <algorithm>
 #include <cassert>
-#include <limits>
 
 #include "common/matrix.h"
 #include "common/random.h"
@@ -155,107 +153,6 @@ __attribute__((target("avx2"))) void ClipScalesAvx2(const double* lipschitz,
 }
 #endif  // PF_SIMD_X86
 
-// ---- BatchLaplaceNoise ---------------------------------------------------
-//
-// An exact replica of libstdc++'s std::mt19937_64
-// (std::mersenne_twister_engine<uint64_t, 64, 312, 156, 31,
-// 0xb5026f5aa96619e9, 29, 0x5555555555555555, 17, 0x71d67fffeda60000, 37,
-// 0xfff7eee000000000, 43, 6364136223846793005>) with the states of
-// kNoiseLanes rows kept lane-major: the seeding recurrence and the twist
-// are strictly serial per generator (each word depends on the previous),
-// but independent across rows, so interleaving them lets the multiply
-// chains pipeline instead of stalling — roughly a lane-count speedup on
-// the state setup that dominates per-ticket noise cost. The per-draw
-// conversion replicates uniform_real_distribution<double>(0, 1): one
-// tempered 64-bit output divided by 2^64, with generate_canonical's
-// below-1.0 clamp. Pinned bit-for-bit against std:: by
-// BatchLaplaceNoiseMatchesPerRowRngBitForBit and the scalar-vs-columnar
-// serving suite.
-
-constexpr std::size_t kMtN = 312;
-constexpr std::size_t kMtM = 156;
-constexpr std::uint64_t kMtMatrixA = 0xb5026f5aa96619e9ULL;
-constexpr std::uint64_t kMtUpperMask = 0xffffffff80000000ULL;
-constexpr std::uint64_t kMtLowerMask = 0x000000007fffffffULL;
-constexpr std::uint64_t kMtInitMult = 6364136223846793005ULL;
-constexpr std::size_t kNoiseLanes = 8;
-
-/// State words of kNoiseLanes independent engines, word-index major so the
-/// interleaved loops touch consecutive memory across lanes.
-struct MtLaneBlock {
-  std::uint64_t state[kMtN][kNoiseLanes];
-};
-
-inline std::uint64_t MtTemper(std::uint64_t y) {
-  y ^= (y >> 29) & 0x5555555555555555ULL;
-  y ^= (y << 17) & 0x71d67fffeda60000ULL;
-  y ^= (y << 37) & 0xfff7eee000000000ULL;
-  y ^= (y >> 43);
-  return y;
-}
-
-/// One twist step from state words x_k, x_{k+1}, x_{k+m} (branchless form
-/// of the (y & 1) ? matrix_a : 0 conditional).
-inline std::uint64_t MtTwistWord(std::uint64_t xk, std::uint64_t xk1,
-                                 std::uint64_t xkm) {
-  const std::uint64_t y = (xk & kMtUpperMask) | (xk1 & kMtLowerMask);
-  return xkm ^ (y >> 1) ^ (kMtMatrixA & (0 - (y & 1ULL)));
-}
-
-void MtSeedLanes(MtLaneBlock* mt, const std::uint64_t* seeds,
-                 std::size_t lanes) {
-  for (std::size_t l = 0; l < lanes; ++l) mt->state[0][l] = seeds[l];
-  for (std::size_t i = 1; i < kMtN; ++i) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::uint64_t prev = mt->state[i - 1][l];
-      mt->state[i][l] =
-          kMtInitMult * (prev ^ (prev >> 62)) + static_cast<std::uint64_t>(i);
-    }
-  }
-}
-
-void MtTwistLanes(MtLaneBlock* mt, std::size_t lanes) {
-  auto& s = mt->state;
-  for (std::size_t k = 0; k < kMtN - kMtM; ++k) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      s[k][l] = MtTwistWord(s[k][l], s[k + 1][l], s[k + kMtM][l]);
-    }
-  }
-  for (std::size_t k = kMtN - kMtM; k < kMtN - 1; ++k) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      s[k][l] = MtTwistWord(s[k][l], s[k + 1][l], s[k + kMtM - kMtN][l]);
-    }
-  }
-  for (std::size_t l = 0; l < lanes; ++l) {
-    s[kMtN - 1][l] = MtTwistWord(s[kMtN - 1][l], s[0][l], s[kMtM - 1][l]);
-  }
-}
-
-/// Retwist a single lane in place (stride kNoiseLanes words). Cold path:
-/// only a row needing more than 312 draws — a vector row wider than the
-/// state, or a redraw cascade — reaches it.
-void MtTwistStrided(std::uint64_t* lane0) {
-  auto at = [lane0](std::size_t i) -> std::uint64_t& {
-    return lane0[i * kNoiseLanes];
-  };
-  for (std::size_t k = 0; k < kMtN - kMtM; ++k) {
-    at(k) = MtTwistWord(at(k), at(k + 1), at(k + kMtM));
-  }
-  for (std::size_t k = kMtN - kMtM; k < kMtN - 1; ++k) {
-    at(k) = MtTwistWord(at(k), at(k + 1), at(k + kMtM - kMtN));
-  }
-  at(kMtN - 1) = MtTwistWord(at(kMtN - 1), at(0), at(kMtM - 1));
-}
-
-/// uniform_real_distribution<double>(0, 1) on a 64-bit engine output,
-/// libstdc++ generate_canonical semantics: one division by 2^64, and the
-/// result clamped to the largest double below 1.0 when the conversion of x
-/// to double rounds up to 2^64 (x within 512 of the top of the range).
-inline double MtUnitDraw(std::uint64_t x) {
-  const double u = static_cast<double>(x) / 18446744073709551616.0;
-  return u >= 1.0 ? 1.0 - std::numeric_limits<double>::epsilon() / 2.0 : u;
-}
-
 }  // namespace
 
 void AggregateStates(const int* data, std::size_t n, const AggregateSpec& spec,
@@ -289,35 +186,69 @@ void ClipScales(const double* lipschitz, const double* sigmas, std::size_t n,
   for (std::size_t i = 0; i < n; ++i) scales[i] = lipschitz[i] * sigmas[i];
 }
 
+namespace {
+
+// Philox4x32 round multipliers and Weyl key increments (Salmon et al.,
+// SC'11; the Random123 reference constants).
+constexpr std::uint32_t kPhiloxM0 = 0xD2511F53u;
+constexpr std::uint32_t kPhiloxM1 = 0xCD9E8D57u;
+constexpr std::uint32_t kPhiloxW0 = 0x9E3779B9u;
+constexpr std::uint32_t kPhiloxW1 = 0xBB67AE85u;
+constexpr int kPhiloxRounds = 10;
+
+inline std::uint64_t PhiloxWord(std::uint32_t lo, std::uint32_t hi) {
+  return (static_cast<std::uint64_t>(hi) << 32) | lo;
+}
+
+}  // namespace
+
+PhiloxBlock Philox4x32(PhiloxBlock ctr, PhiloxKey key) {
+  for (int round = 0; round < kPhiloxRounds; ++round) {
+    if (round > 0) {
+      key[0] += kPhiloxW0;
+      key[1] += kPhiloxW1;
+    }
+    const std::uint64_t p0 = static_cast<std::uint64_t>(kPhiloxM0) * ctr[0];
+    const std::uint64_t p1 = static_cast<std::uint64_t>(kPhiloxM1) * ctr[2];
+    ctr = {static_cast<std::uint32_t>(p1 >> 32) ^ ctr[1] ^ key[0],
+           static_cast<std::uint32_t>(p1),
+           static_cast<std::uint32_t>(p0 >> 32) ^ ctr[3] ^ key[1],
+           static_cast<std::uint32_t>(p0)};
+  }
+  return ctr;
+}
+
+double OpenUnitFromBits(std::uint64_t x) {
+  // (x >> 12) + 0.5 needs at most 53 significant bits, and the scaling by
+  // 2^-52 is exact, so every draw is an exact odd multiple of 2^-53.
+  return (static_cast<double>(x >> 12) + 0.5) * 0x1p-52;
+}
+
+void AddTicketLaplaceNoise(double* values, std::size_t n, double scale,
+                           std::uint64_t stream_key) {
+  const PhiloxKey key = {static_cast<std::uint32_t>(stream_key),
+                         static_cast<std::uint32_t>(stream_key >> 32)};
+  for (std::size_t j = 0; j < n; j += 2) {
+    const std::uint64_t block = j / 2;
+    const PhiloxBlock out = Philox4x32(
+        {static_cast<std::uint32_t>(block),
+         static_cast<std::uint32_t>(block >> 32), 0u, 0u},
+        key);
+    values[j] += LaplaceInverseCdf(
+        OpenUnitFromBits(PhiloxWord(out[0], out[1])), scale);
+    if (j + 1 < n) {
+      values[j + 1] += LaplaceInverseCdf(
+          OpenUnitFromBits(PhiloxWord(out[2], out[3])), scale);
+    }
+  }
+}
+
 void BatchLaplaceNoise(double* values, const std::size_t* offsets,
                        const double* scales, const std::uint64_t* seeds,
                        std::size_t rows) {
-  MtLaneBlock mt;  // ~20 KB: one group of engine states, reused per group.
-  for (std::size_t base = 0; base < rows; base += kNoiseLanes) {
-    const std::size_t lanes = std::min(kNoiseLanes, rows - base);
-    MtSeedLanes(&mt, seeds + base, lanes);
-    MtTwistLanes(&mt, lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::size_t r = base + l;
-      double* out = values + offsets[r];
-      const std::size_t n = offsets[r + 1] - offsets[r];
-      const double scale = scales[r];
-      std::size_t p = 0;
-      for (std::size_t j = 0; j < n; ++j) {
-        // Rng::Laplace's boundary redraw: u = 0 maps to log(0), so the
-        // scalar path discards it; discard the same draws here.
-        double u;
-        do {
-          if (p == kMtN) {
-            MtTwistStrided(&mt.state[0][l]);
-            p = 0;
-          }
-          u = MtUnitDraw(MtTemper(mt.state[p][l]));
-          ++p;
-        } while (u == 0.0);
-        out[j] += LaplaceInverseCdf(u, scale);
-      }
-    }
+  for (std::size_t r = 0; r < rows; ++r) {
+    AddTicketLaplaceNoise(values + offsets[r], offsets[r + 1] - offsets[r],
+                          scales[r], seeds[r]);
   }
 }
 

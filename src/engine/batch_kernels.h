@@ -1,6 +1,6 @@
-// Vectorized execution kernels for the columnar batch-serving path. The
-// physical batch plan (engine/batch_plan.h) lowers every derivable query
-// shape onto two data-parallel primitives:
+// Execution kernels for the serving paths. The physical batch plan
+// (engine/batch_plan.h) lowers every derivable query shape onto two
+// data-parallel primitives and one noise kernel:
 //
 //   AggregateStates   one pass over the (windowed) record computing the
 //                     integer statistics every built-in query kind derives
@@ -8,9 +8,15 @@
 //                     and exact-match counts for requested states
 //   ClipScales        the per-row Lipschitz calibration ("clip") stage:
 //                     scales[i] = lipschitz[i] * sigma[i]
+//   AddTicketLaplaceNoise
+//                     the noise stage: counter-based Philox4x32-10 Laplace
+//                     draws keyed by the row's ticket stream key. The scalar
+//                     serving path (Session) calls it too, so scalar and
+//                     columnar releases share one noise stream by
+//                     construction.
 //
-// Both dispatch over the runtime SimdLevel seam (common/matrix.h): the
-// portable kernel is the reference, the AVX2 kernel is 8-wide (int32) /
+// The first two dispatch over the runtime SimdLevel seam (common/matrix.h):
+// the portable kernel is the reference, the AVX2 kernel is 8-wide (int32) /
 // 4-wide (double). Bit-identity across levels is structural, not hoped
 // for: AggregateStates is pure integer arithmetic (sums and counts are
 // associative and exact, so lane order cannot change the result), and
@@ -22,6 +28,7 @@
 #ifndef PUFFERFISH_ENGINE_BATCH_KERNELS_H_
 #define PUFFERFISH_ENGINE_BATCH_KERNELS_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -68,23 +75,42 @@ void AggregateStates(const int* data, std::size_t n, const AggregateSpec& spec,
 void ClipScales(const double* lipschitz, const double* sigmas, std::size_t n,
                 double* scales);
 
-/// \brief The noise stage: for each row r in [0, rows), adds independent
-/// Laplace noise of scale scales[r] to values[offsets[r], offsets[r+1]),
-/// drawn from a fresh generator seeded with seeds[r]. Bit-identical by
-/// construction to the scalar release loop
+/// A Philox4x32 counter block (four 32-bit words) and key (two words).
+using PhiloxBlock = std::array<std::uint32_t, 4>;
+using PhiloxKey = std::array<std::uint32_t, 2>;
+
+/// \brief The Philox4x32-10 block function (Salmon et al., SC'11): ten
+/// rounds of the Philox 4x32 bijection of `counter` under `key`, with the
+/// key bumped by the Weyl constants between rounds. Output-identical to
+/// Random123's philox4x32_10 (pinned by its known-answer vectors).
+PhiloxBlock Philox4x32(PhiloxBlock counter, PhiloxKey key);
+
+/// \brief Maps a 64-bit generator word to a uniform double strictly inside
+/// (0, 1): ((x >> 12) + 0.5) * 2^-52. Every value is exactly representable
+/// and lies in [2^-53, 1 - 2^-53], so LaplaceInverseCdf never reaches its
+/// boundary clamp and no draw needs redrawing.
+double OpenUnitFromBits(std::uint64_t x);
+
+/// \brief The noise kernel of both serving paths: values[j] += Lap(scale)
+/// for j in [0, n). The stream is keyed by `stream_key`
+/// (TicketNoiseSeed(session seed, ticket) on the serving paths) and the
+/// draw index is the counter: draw j takes 64-bit word j % 2 of the
+/// Philox4x32-10 block at counter j / 2 (word 0 = out[1]:out[0], word 1 =
+/// out[3]:out[2]), mapped through OpenUnitFromBits and LaplaceInverseCdf.
+/// Stateless — no per-stream setup — so a one-coordinate release costs one
+/// block. Like the Mersenne Twister it replaced, Philox is not a CSPRNG: the
+/// secrecy of the session seed is what protects the noise.
+void AddTicketLaplaceNoise(double* values, std::size_t n, double scale,
+                           std::uint64_t stream_key);
+
+/// \brief The columnar noise stage: for each row r in [0, rows), adds
+/// Laplace noise of scale scales[r] to values[offsets[r], offsets[r+1]) as
 ///
-///   Rng rng(seeds[r]);
-///   AddLaplaceNoise(values + offsets[r], offsets[r+1] - offsets[r],
-///                   scales[r], &rng);
+///   AddTicketLaplaceNoise(values + offsets[r], offsets[r+1] - offsets[r],
+///                         scales[r], seeds[r]);
 ///
-/// for every row: each row consumes the exact mt19937_64 +
-/// uniform_real_distribution<double>(0, 1) draw sequence (pinned against
-/// std:: by the batch-kernels replica test and the scalar-vs-columnar
-/// suite). What changes is scheduling only: the per-row generator setup —
-/// 312 serial seeding multiplies plus the first twist, the dominant cost
-/// of one-ticket-one-stream serving — runs interleaved across groups of
-/// rows so the independent recurrences pipeline. Not SIMD-dispatched:
-/// every SimdLevel runs this same integer code.
+/// so row r is bit-identical to the scalar path's release under the same
+/// stream key. Not SIMD-dispatched: every SimdLevel runs this same code.
 void BatchLaplaceNoise(double* values, const std::size_t* offsets,
                        const double* scales, const std::uint64_t* seeds,
                        std::size_t rows);

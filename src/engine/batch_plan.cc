@@ -323,7 +323,7 @@ std::string CompiledBatchPlan::Explain() const {
   }
   out += "  clip: scales[r] = L[r] * sigma[r] (simd=" +
          std::string(SimdLevelName(ActiveSimdLevel())) + ")\n";
-  out += "  noise: Laplace per coordinate from per-ticket SplitMix streams\n";
+  out += "  noise: Laplace per coordinate from per-ticket Philox4x32-10 streams\n";
   return out;
 }
 

@@ -21,7 +21,8 @@
 // one integer aggregation pass in arithmetic that reproduces the scalar
 // query functions bit for bit (exact integer sums below 2^53, then the
 // same single multiply by 1/T), and row r's noise comes from the same
-// per-ticket stream (TicketNoiseSeed) the scalar path would use — so a
+// kernel (AddTicketLaplaceNoise) under the same per-ticket stream key
+// (TicketNoiseSeed) the scalar path uses — so a
 // columnar batch equals the corresponding sequence of scalar Submits
 // exactly, at any thread count and SimdLevel. Custom queries are evaluated
 // through their compiled std::function against the materialized window,
@@ -246,7 +247,7 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
 
 /// \brief Runs the physical plan over `data`: aggregate → derive → clip →
 /// noise, with row i released under ticket `first_ticket + i` from the
-/// (seed, ticket) noise streams. The caller has already charged the ledger
+/// (seed, ticket) Philox noise streams. The caller has already charged the ledger
 /// for every row (Session::SubmitColumnar does); like the scalar execute
 /// path, a post-charge failure (a custom query violating its declared
 /// dimension) surfaces as a typed Status with the charge standing.

@@ -8,6 +8,7 @@
 
 #include "common/failpoint.h"
 #include "common/random.h"
+#include "engine/batch_kernels.h"
 
 namespace pf {
 
@@ -162,16 +163,18 @@ Result<ReleaseResult> Session::Execute(const PrivacyEngine::CompiledQuery& q,
                             std::to_string(q.query.dim) +
                             " (epsilon was charged)");
   }
-  Rng rng(TicketNoiseSeed(seed, ticket));
-  // The charge is structurally upstream: Execute only runs with a `ticket`
-  // already issued by ChargeLocked (its only callers, Release and the
-  // SubmitCompiled task body, both charge before invoking it), so no
-  // in-function charge can or should dominate this release.
+  PF_RETURN_NOT_OK(CheckReleasable(*q.plan, q.query.lipschitz));
+  // Noise in place from the ticket's stream, the kernel the columnar path
+  // runs per row. The charge is structurally upstream: Execute only runs
+  // with a `ticket` already issued by ChargeLocked (its only callers,
+  // Release and the SubmitCompiled task body, both charge before invoking
+  // it), so no in-function charge can or should dominate this release.
   // pf:allow(budget-flow): ticket proves the charge happened upstream
-  PF_ASSIGN_OR_RETURN(Vector noisy, ReleaseVector(*q.plan, truth,
-                                                  q.query.lipschitz, &rng));
+  AddTicketLaplaceNoise(truth.data(), truth.size(),
+                        q.query.lipschitz * q.plan->sigma,
+                        TicketNoiseSeed(seed, ticket));
   ReleaseResult result;
-  result.value = std::move(noisy);
+  result.value = std::move(truth);
   result.epsilon = q.plan->epsilon;
   result.sigma = q.plan->sigma;
   result.mechanism = q.plan->kind;

@@ -4,8 +4,9 @@
 // releases that would overrun the budget (ResourceExhausted) or mix active
 // quilts (FailedPrecondition — the Theorem 4.4 precondition).
 //
-// Determinism: each accepted release draws its noise from an RNG seeded by
-// (session seed, ticket), where tickets are assigned in Submit() call
+// Determinism: each accepted release draws its noise from the counter-based
+// Philox stream keyed by (session seed, ticket) (AddTicketLaplaceNoise,
+// engine/batch_kernels.h), where tickets are assigned in Submit() call
 // order. Results are therefore bit-identical for any executor thread count
 // and any completion order.
 #ifndef PUFFERFISH_ENGINE_SESSION_H_

@@ -36,7 +36,6 @@ Result<std::unique_ptr<ResumableAnalysis>> Mechanism::AnalyzeResumable(
                               " has no resumable (append-aware) analysis");
 }
 
-namespace {
 Status CheckReleasable(const MechanismPlan& plan, double lipschitz) {
   if (!plan.applicable) {
     return Status::FailedPrecondition(
@@ -51,7 +50,6 @@ Status CheckReleasable(const MechanismPlan& plan, double lipschitz) {
   }
   return Status::OK();
 }
-}  // namespace
 
 Result<double> Release(const MechanismPlan& plan, double value,
                        double lipschitz, Rng* rng) {
@@ -83,11 +81,8 @@ Status ReleaseBatchColumnar(
           "row " + std::to_string(r) + " has no finite noise scale");
     }
   }
-  // One interleaved noise pass (engine/batch_kernels): bit-identical to
-  // seeding a per-row Rng(TicketNoiseSeed(seed, ticket)) and calling
-  // AddLaplaceNoise row by row, but with the generator setup pipelined
-  // across rows — the per-ticket mt19937_64 init is the scalar serving
-  // path's dominant cost.
+  // One noise pass (engine/batch_kernels): row r is keyed by its ticket's
+  // stream, exactly as Session's scalar release of the same ticket.
   const std::uint64_t* tickets = batch->tickets();
   std::vector<std::uint64_t> seeds(rows);
   for (std::size_t r = 0; r < rows; ++r) {

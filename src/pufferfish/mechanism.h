@@ -167,9 +167,16 @@ class Mechanism {
 };
 
 // ----------------------------------------------------------------------
-// The release half of the lifecycle: free functions of the plan. These are
-// the only places in the library that add mechanism noise.
+// The release half of the lifecycle: free functions of the plan. Release
+// and ReleaseVector draw from a caller-supplied Rng; the serving paths
+// (Session, ReleaseBatchColumnar) run CheckReleasable and then the
+// per-ticket Philox kernel (engine/batch_kernels.h).
 // ----------------------------------------------------------------------
+
+/// The checks every release runs before any noise: the plan is applicable
+/// with a finite, nonnegative sigma (FailedPrecondition otherwise) and
+/// `lipschitz` is finite and nonnegative (InvalidArgument otherwise).
+Status CheckReleasable(const MechanismPlan& plan, double lipschitz);
 
 /// Releases one scalar L-Lipschitz query value: value + L * sigma * Lap(1).
 Result<double> Release(const MechanismPlan& plan, double value,
@@ -184,10 +191,10 @@ Result<Vector> ReleaseVector(const MechanismPlan& plan, const Vector& value,
 /// path. `batch` arrives with truth values, per-row noise scales
 /// (lipschitz * sigma, the clip kernel's output), and tickets populated;
 /// row r gains independent Laplace(noise_scales()[r]) noise per coordinate
-/// drawn from Rng(TicketNoiseSeed(seed, tickets()[r])) — the same
-/// per-ticket stream the scalar serving path uses, so a row released here
-/// is bit-identical to the scalar release of the same query under the same
-/// ticket, at any thread count. `plans` holds the distinct plans the rows
+/// from AddTicketLaplaceNoise keyed by TicketNoiseSeed(seed, tickets()[r])
+/// — the same per-ticket stream the scalar serving path uses, so a row
+/// released here is bit-identical to the scalar release of the same query
+/// under the same ticket, at any thread count. `plans` holds the distinct plans the rows
 /// release under, validated exactly like Release (an inapplicable plan or
 /// non-finite scale refuses the whole batch before ANY noise lands — a
 /// half-noised batch is not a release state this layer permits).

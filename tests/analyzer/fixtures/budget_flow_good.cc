@@ -7,6 +7,7 @@ struct Plan {};
 struct Session {
   int ChargeLocked(const Plan& p);
   int ReleaseVector(const Plan& p);
+  void AddTicketLaplaceNoise(double* values, int n, double scale, long key);
   bool TryAcquire();
 
   int Good(const Plan& p) {
@@ -31,5 +32,17 @@ struct Session {
       ticket = ChargeLocked(p);
     }
     return ReleaseVector(p);  // Charged on BOTH branches of the join.
+  }
+
+  int GoodKernel(const Plan& p, double* values, long key) {
+    if (!TryAcquire()) {
+      return -1;
+    }
+    int ticket = ChargeLocked(p);
+    if (ticket < 0) {
+      return ticket;
+    }
+    AddTicketLaplaceNoise(values, 1, 1.0, key);  // Dominated by the charge.
+    return ticket;
   }
 };

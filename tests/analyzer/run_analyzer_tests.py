@@ -11,7 +11,8 @@ quiet, end to end through the real CLI.
   3. Regex fallback: the lint_invariants.py shim (and --regex-only) must
      be clean too, so hosts without libclang keep a working linter.
   4. Lock-order doc freshness: docs/LOCK_ORDER.md must match what the
-     lock-order pass generates from the current sources.
+     lock-order pass generates from the current sources, and naming src/
+     as a directory argument must generate the same doc.
   5. Marker migration: no stale `lint:allow` markers remain under src/
      (the pf:allow spelling is the successor; legacy markers only live on
      in fixtures proving compatibility).
@@ -93,6 +94,8 @@ def main():
                          "--baseline", no_baseline])
         check("budget-flow: detects uncharged release",
               "ReleaseVector" in out and "not dominated" in out, out)
+        check("budget-flow: detects uncharged noise kernel",
+              "AddTicketLaplaceNoise" in out and "not dominated" in out, out)
         check("budget-flow: detects charge-before-permit",
               "precedes admission" in out, out)
         code, out = run([fixture("lock_order_bad.cc"), "--rules",
@@ -135,6 +138,17 @@ def main():
                           "  python3 tools/pf_analyzer --rules lock-order "
                           "--lock-order-doc docs/LOCK_ORDER.md")
         check("lock-order doc is fresh", ok, detail)
+        # A directory argument expands to the C++ files under it, so naming
+        # src/ generates the same doc as the default targets.
+        regen_dir = os.path.join(tmp, "LOCK_ORDER_src.md")
+        code, out = run(["--rules", "lock-order", "--lock-order-doc",
+                         regen_dir, "src"])
+        ok = os.path.isfile(regen) and os.path.isfile(regen_dir)
+        if ok:
+            with open(regen, encoding="utf-8") as f, \
+                    open(regen_dir, encoding="utf-8") as g:
+                ok = f.read() == g.read()
+        check("lock-order: a directory argument is expanded", ok, out)
 
         # 5. Marker migration: src/ uses the pf:allow spelling only.
         stale = []

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/random.h"
+#include "engine/batch_kernels.h"
 #include "engine/engine.h"
 #include "graphical/markov_chain.h"
 
@@ -184,7 +185,7 @@ TEST(BatchPlanTest, ExplainShowsBothPlanLevels) {
 // -------------------------------------------------------------- execution --
 
 // ExecuteBatchPlan against the primitives it promises to reproduce: truth
-// from the scalar compiled query, noise from the per-ticket streams. This
+// from the scalar compiled query, noise from the per-ticket Philox kernel. This
 // pins the contract at the plan level; batch_serving_test pins the same
 // thing end-to-end through Session.
 TEST(BatchPlanTest, ExecuteMatchesScalarPrimitivesBitForBit) {
@@ -213,9 +214,9 @@ TEST(BatchPlanTest, ExecuteMatchesScalarPrimitivesBitForBit) {
         data.begin() + static_cast<std::ptrdiff_t>(win.offset),
         data.begin() + static_cast<std::ptrdiff_t>(win.offset + win.length));
     Vector expected = q.fn(slice);
-    Rng rng(TicketNoiseSeed(kSeed, kFirstTicket + r));
-    AddLaplaceNoise(expected.data(), expected.size(),
-                    q.lipschitz * plan.compiled[u].plan->sigma, &rng);
+    AddTicketLaplaceNoise(expected.data(), expected.size(),
+                          q.lipschitz * plan.compiled[u].plan->sigma,
+                          TicketNoiseSeed(kSeed, kFirstTicket + r));
     ASSERT_EQ(result.batch.row_size(r), expected.size());
     for (std::size_t j = 0; j < expected.size(); ++j) {
       EXPECT_TRUE(BitEqual(result.batch.row(r)[j], expected[j]))
@@ -318,12 +319,10 @@ TEST(BatchKernelsTest, ClipScalesMatchesScalarProductBitwise) {
   }
 }
 
-TEST(BatchKernelsTest, BatchLaplaceNoiseMatchesPerRowRngBitForBit) {
-  // The interleaved kernel against the scalar release loop it replicates:
-  // mixed row widths (scalars, histograms, an empty row, and one 700-wide
-  // row that forces the in-place retwist — more draws than the 312-word
-  // mt19937_64 state holds), mixed scales including zero, and enough rows
-  // to cover full lane groups plus a partial tail group.
+TEST(BatchKernelsTest, BatchLaplaceNoiseMatchesSingleRowKernel) {
+  // The row loop against the single-row kernel it must equal: mixed row
+  // widths (scalars, histograms, an empty row, odd widths, and one
+  // 700-wide row spanning 350 counter blocks), mixed scales including zero.
   const std::vector<std::size_t> widths = {1, 8, 0, 700, 1, 3, 1, 1,
                                            2, 1, 5, 1,   1, 1, 1, 1, 1};
   const std::size_t rows = widths.size();
@@ -342,17 +341,71 @@ TEST(BatchKernelsTest, BatchLaplaceNoiseMatchesPerRowRngBitForBit) {
     seeds[r] = TicketNoiseSeed(/*seed=*/0xFEEDu, /*ticket=*/r * 37 + 1);
   }
 
-  std::vector<double> expected = truth;
-  for (std::size_t r = 0; r < rows; ++r) {
-    Rng rng(seeds[r]);
-    AddLaplaceNoise(expected.data() + offsets[r], widths[r], scales[r], &rng);
-  }
-
   std::vector<double> actual = truth;
   BatchLaplaceNoise(actual.data(), offsets.data(), scales.data(), seeds.data(),
                     rows);
-  for (std::size_t i = 0; i < total; ++i) {
-    ASSERT_TRUE(BitEqual(expected[i], actual[i])) << "value index " << i;
+  for (std::size_t r = 0; r < rows; ++r) {
+    std::vector<double> expected(truth.begin() + offsets[r],
+                                 truth.begin() + offsets[r + 1]);
+    AddTicketLaplaceNoise(expected.data(), expected.size(), scales[r],
+                          seeds[r]);
+    for (std::size_t j = 0; j < widths[r]; ++j) {
+      ASSERT_TRUE(BitEqual(expected[j], actual[offsets[r] + j]))
+          << "row " << r << " coord " << j;
+      if (scales[r] == 0.0) {
+        ASSERT_TRUE(BitEqual(actual[offsets[r] + j], truth[offsets[r] + j]));
+      } else {
+        ASSERT_TRUE(std::isfinite(actual[offsets[r] + j]));
+      }
+    }
+  }
+}
+
+TEST(BatchKernelsTest, Philox4x32MatchesRandom123KnownAnswers) {
+  // Random123's philox4x32_10 known-answer vectors, (counter; key) -> out.
+  EXPECT_EQ(Philox4x32({0u, 0u, 0u, 0u}, {0u, 0u}),
+            (PhiloxBlock{0x6627e8d5u, 0xe169c58du, 0xbc57ac4cu, 0x9b00dbd8u}));
+  EXPECT_EQ(Philox4x32({0xffffffffu, 0xffffffffu, 0xffffffffu, 0xffffffffu},
+                       {0xffffffffu, 0xffffffffu}),
+            (PhiloxBlock{0x408f276du, 0x41c83b0eu, 0xa20bc7c6u, 0x6d5451fdu}));
+  EXPECT_EQ(Philox4x32({0x243f6a88u, 0x85a308d3u, 0x13198a2eu, 0x03707344u},
+                       {0xa4093822u, 0x299f31d0u}),
+            (PhiloxBlock{0xd16cfe09u, 0x94fdccebu, 0x5001e420u, 0x24126ea1u}));
+}
+
+TEST(BatchKernelsTest, ExtremeWordsMapStrictlyInsideUnitInterval) {
+  // The two extreme 64-bit words land on 2^-53 and 1 - 2^-53: strictly
+  // inside (0, 1), so neither the u == 0 redraw nor LaplaceInverseCdf's
+  // clamp is ever needed, and the Laplace value is finite.
+  const double lo = OpenUnitFromBits(0u);
+  const double hi = OpenUnitFromBits(~std::uint64_t{0});
+  EXPECT_EQ(lo, std::ldexp(1.0, -53));
+  EXPECT_EQ(hi, 1.0 - std::ldexp(1.0, -53));
+  for (double u : {lo, hi}) {
+    EXPECT_GT(u, 0.0);
+    EXPECT_LT(u, 1.0);
+    const double x = LaplaceInverseCdf(u, 1.0);
+    EXPECT_TRUE(std::isfinite(x)) << u;
+    // The clamp sits at -ln(DBL_MIN) ~ 708; the extremes stay at 52 ln 2.
+    EXPECT_NEAR(std::fabs(x), 52.0 * std::log(2.0), 1e-9) << u;
+  }
+}
+
+TEST(BatchKernelsTest, TicketNoiseIsCounterBased) {
+  // Draw j depends only on (stream key, j): a shorter release is a prefix
+  // of a longer one under the same key, and another key gives another
+  // stream.
+  const std::uint64_t key = TicketNoiseSeed(99, 7);
+  std::vector<double> three(3, 0.0), seven(7, 0.0), other(7, 0.0);
+  AddTicketLaplaceNoise(three.data(), three.size(), 1.0, key);
+  AddTicketLaplaceNoise(seven.data(), seven.size(), 1.0, key);
+  AddTicketLaplaceNoise(other.data(), other.size(), 1.0,
+                        TicketNoiseSeed(99, 8));
+  for (std::size_t j = 0; j < three.size(); ++j) {
+    EXPECT_TRUE(BitEqual(three[j], seven[j])) << j;
+  }
+  for (std::size_t j = 0; j < seven.size(); ++j) {
+    EXPECT_NE(seven[j], other[j]) << j;
   }
 }
 

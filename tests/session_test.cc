@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <future>
 #include <memory>
 #include <vector>
@@ -562,6 +564,61 @@ TEST(SessionTest, NullSharedDatabaseRefusedWithoutCharging) {
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(session->num_releases(), 0u);
+}
+
+// ------------------------------------------------------ the noise stream --
+
+// The serving noise end to end: 20 000 tickets of one fixed release. The
+// normalised noise (released - truth) / (L * sigma) must pass a
+// Kolmogorov-Smirnov test against Laplace(1) at alpha = 0.01, and tickets
+// must be uncorrelated: adjacent tickets' noise has |r| < 4 / sqrt(n).
+TEST(SessionNoiseTest, ReleaseNoiseIsLaplaceAndIndependentAcrossTickets) {
+  const std::size_t kTickets = 20000;
+  auto engine = ChainEngine(kData.size());
+  const QuerySpec spec = QuerySpec::Mean(1.0);
+  const PrivacyEngine::CompiledQuery compiled =
+      engine->Compile(spec).ValueOrDie();
+  const double truth = compiled.query.fn(kData)[0];
+  const double scale = compiled.query.lipschitz * compiled.plan->sigma;
+  ASSERT_GT(scale, 0.0);
+  SessionOptions options;
+  options.seed = 20240611;
+  auto session = engine->CreateSession(options);
+  std::vector<double> z(kTickets);
+  for (std::size_t t = 0; t < kTickets; ++t) {
+    const ReleaseResult r = session->Release(spec, kData).ValueOrDie();
+    ASSERT_EQ(r.ticket, t);
+    z[t] = (r.value[0] - truth) / scale;
+  }
+
+  // Adjacent-ticket correlation (Pearson r over the pairs (z_t, z_t+1)).
+  const double n = static_cast<double>(kTickets - 1);
+  double mx = 0.0, my = 0.0;
+  for (std::size_t t = 0; t + 1 < kTickets; ++t) {
+    mx += z[t];
+    my += z[t + 1];
+  }
+  mx /= n;
+  my /= n;
+  double sxy = 0.0, sxx = 0.0, syy = 0.0;
+  for (std::size_t t = 0; t + 1 < kTickets; ++t) {
+    sxy += (z[t] - mx) * (z[t + 1] - my);
+    sxx += (z[t] - mx) * (z[t] - mx);
+    syy += (z[t + 1] - my) * (z[t + 1] - my);
+  }
+  EXPECT_LT(std::fabs(sxy / std::sqrt(sxx * syy)), 4.0 / std::sqrt(n));
+
+  // One-sample KS against the Laplace(1) CDF; 1.628 / sqrt(n) is the
+  // asymptotic alpha = 0.01 critical value.
+  std::sort(z.begin(), z.end());
+  double d = 0.0;
+  for (std::size_t i = 0; i < kTickets; ++i) {
+    const double cdf =
+        z[i] < 0.0 ? 0.5 * std::exp(z[i]) : 1.0 - 0.5 * std::exp(-z[i]);
+    d = std::max(d, std::max(cdf - static_cast<double>(i) / kTickets,
+                             static_cast<double>(i + 1) / kTickets - cdf));
+  }
+  EXPECT_LT(d, 1.628 / std::sqrt(static_cast<double>(kTickets)));
 }
 
 }  // namespace

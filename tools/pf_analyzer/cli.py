@@ -1,6 +1,6 @@
 """pf_analyzer command line.
 
-    python3 tools/pf_analyzer [FILE...]             # default: src/ + CMakeLists.txt
+    python3 tools/pf_analyzer [PATH...]             # default: src/ + CMakeLists.txt
     python3 tools/pf_analyzer --compdb build/compile_commands.json
     python3 tools/pf_analyzer --regex-only          # text rules only (no parse)
     python3 tools/pf_analyzer --list-rules
@@ -28,6 +28,20 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 DEFAULT_BASELINE = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "baseline.json")
+
+
+def expand_dirs(files, root):
+    """Replaces each directory argument with the C++ files under it. Files
+    and missing paths pass through unchanged: changed-files mode may name
+    deleted files, which build_model skips."""
+    out = []
+    for f in files:
+        abspath = f if os.path.isabs(f) else os.path.join(root, f)
+        if os.path.isdir(abspath):
+            out.extend(compdb.cxx_files_under(abspath, root))
+        else:
+            out.append(f)
+    return out
 
 
 def build_model(files, file_args, args, root):
@@ -68,7 +82,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="pf_analyzer", description=__doc__.splitlines()[0])
     parser.add_argument("files", nargs="*",
-                        help="files to analyze (default: src/ + CMakeLists.txt)")
+                        help="files, or directories to scan for C++ files "
+                             "(default: src/ + CMakeLists.txt)")
     parser.add_argument("--compdb", metavar="PATH",
                         help="compile_commands.json; file list + clang flags")
     parser.add_argument("--regex-only", action="store_true",
@@ -132,7 +147,7 @@ def main(argv=None):
                   file=sys.stderr)
             return 2
     elif args.files:
-        files = args.files
+        files = expand_dirs(args.files, REPO_ROOT)
     else:
         files = compdb.default_targets(REPO_ROOT)
 

@@ -63,15 +63,20 @@ def load_compdb(path: str, repo_root: str) -> Tuple[List[str], Dict[str, List[st
     return files, args
 
 
-def default_targets(repo_root: str) -> List[str]:
+def cxx_files_under(directory: str, repo_root: str) -> List[str]:
+    """The C++ files under `directory`, repo-relative with / separators."""
     targets: List[str] = []
-    src = os.path.join(repo_root, "src")
-    for dirpath, _, filenames in os.walk(src):
-        for name in sorted(filenames):
+    for dirpath, _, filenames in os.walk(directory):
+        for name in filenames:
             if name.endswith(CXX_EXTENSIONS):
                 full = os.path.join(dirpath, name)
                 targets.append(
                     os.path.relpath(full, repo_root).replace(os.sep, "/"))
+    return sorted(targets)
+
+
+def default_targets(repo_root: str) -> List[str]:
+    targets = cxx_files_under(os.path.join(repo_root, "src"), repo_root)
     cml = os.path.join(repo_root, "CMakeLists.txt")
     if os.path.isfile(cml):
         targets.append("CMakeLists.txt")

@@ -4,7 +4,8 @@ and admission (permit acquisition) precedes the charge.
 The serving contract (PR 2 pricing, PR 8 shed-before-charge ordering):
 
   1. On every path through Session/PrivacyEngine that reaches a release
-     site — a noise release (`ReleaseVector`), the shared task body
+     site — a noise release (`ReleaseVector`, or the serving noise kernel
+     `AddTicketLaplaceNoise`), the shared task body
      (`Execute`), or an executor enqueue (`executor().Submit`) — a budget
      charge (`ChargeLocked` / `ChargeBatchLocked` / `RecordRelease*` /
      `RecordBatchStrict` / `ComposedBudgetAdmits`)
@@ -30,7 +31,7 @@ from . import dataflow
 WHY = ("every release must be dominated by a Theorem 4.4 budget charge, "
        "and permit acquisition must precede the charge (shed-before-charge)")
 
-RELEASE_CALLS = {"Execute", "ReleaseVector"}
+RELEASE_CALLS = {"Execute", "ReleaseVector", "AddTicketLaplaceNoise"}
 ENQUEUE_CALL = "Submit"  # Only on a receiver mentioning the executor.
 CHARGE_CALLS = {"ChargeLocked", "ChargeBatchLocked", "RecordRelease",
                 "RecordReleaseStrict", "RecordBatchStrict",

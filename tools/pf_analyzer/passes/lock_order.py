@@ -283,7 +283,7 @@ def write_doc(path: str, graph: LockGraph, model: SourceModel) -> None:
         "<!-- Generated by tools/pf_analyzer (lock-order pass). Do not edit",
         "     by hand: regenerate with",
         "     `python3 tools/pf_analyzer --rules lock-order "
-        "--lock-order-doc docs/LOCK_ORDER.md src`. -->",
+        "--lock-order-doc docs/LOCK_ORDER.md`. -->",
         "",
         "Derived from `MutexLock` sites, explicit `Lock()/Unlock()` calls,",
         "and `PF_REQUIRES` annotations across the tree. An edge `A -> B`",
