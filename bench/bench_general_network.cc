@@ -18,6 +18,10 @@
 //                  0.35, root 0.3) that pf-bench's cold-analyze workload
 //                  analyzes, on one thread: 5 node classes whose quilts
 //                  each replay one elimination plan per (theta, value).
+//  - CompileNewEpsilonTwoTreeClass: the same class behind a PrivacyEngine
+//                  whose quilt-influence table is warm; each iteration
+//                  compiles a never-seen epsilon, so it times the scoring
+//                  pass that replaces a cold analysis after the first.
 //
 // Counters report sigma, scored-vs-total nodes, the dedup ratio, the
 // observed induced width, and peak factor-table bytes.
@@ -27,6 +31,7 @@
 #include <vector>
 
 #include "data/topologies.h"
+#include "engine/engine.h"
 #include "pufferfish/markov_quilt_mechanism.h"
 
 namespace pf {
@@ -173,13 +178,18 @@ BENCHMARK(BM_AnalyzeNoDedup)
     ->Unit(benchmark::kMillisecond);
 
 // ---- The cold-analyze model: two same-shape thetas of a 31-node tree.
-void BM_AnalyzeTwoTreeClass(benchmark::State& state) {
+std::vector<BayesianNetwork> TwoTreeClass() {
   std::vector<BayesianNetwork> thetas;
   for (double flip : {0.3, 0.35}) {
     thetas.push_back(
         TreeNetwork(31, 2, BinaryRoot(0.3), BinaryNoisyCopyCpt(flip))
             .ValueOrDie());
   }
+  return thetas;
+}
+
+void BM_AnalyzeTwoTreeClass(benchmark::State& state) {
+  const std::vector<BayesianNetwork> thetas = TwoTreeClass();
   const MqmAnalyzeOptions options =
       Options(InferenceBackend::kVariableElimination, true, 1);
   MqmAnalysis analysis;
@@ -191,6 +201,29 @@ void BM_AnalyzeTwoTreeClass(benchmark::State& state) {
   state.SetLabel("tree x2 thetas");
 }
 BENCHMARK(BM_AnalyzeTwoTreeClass)->Unit(benchmark::kMillisecond);
+
+// ---- A later epsilon on the same model: the engine's cache scores its
+// quilt-influence table instead of re-running the eliminations.
+void BM_CompileNewEpsilonTwoTreeClass(benchmark::State& state) {
+  EngineOptions options;
+  options.num_threads = 1;
+  options.cache_capacity = 16;  // As in pf-bench: plans evict, the table stays.
+  auto engine =
+      PrivacyEngine::Create(ModelSpec::NetworkClass(TwoTreeClass()), options)
+          .ValueOrDie();
+  // Warm the table (and the plan for kEpsilon, never requested again).
+  double epsilon = kEpsilon;
+  double sigma =
+      engine->Compile(QuerySpec::Sum(epsilon)).ValueOrDie().plan->sigma;
+  for (auto _ : state) {
+    epsilon += 1e-7;  // Never seen: plans are keyed by the epsilon's bits.
+    sigma = engine->Compile(QuerySpec::Sum(epsilon)).ValueOrDie().plan->sigma;
+    benchmark::DoNotOptimize(sigma + 0.0);
+  }
+  state.counters["sigma"] = sigma;
+  state.SetLabel("tree x2 thetas, warm table");
+}
+BENCHMARK(BM_CompileNewEpsilonTwoTreeClass)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace pf

@@ -28,27 +28,26 @@ double LaplaceInverseCdf(double u, double scale) {
   const double t = u - 0.5;
   const double sign = (t >= 0.0) ? 1.0 : -1.0;
   // The tail 1 - 2|t| rounds to exactly 0 for u below ~1e-17 (u - 0.5
-  // collapses to -1/2), where log would produce the infinite noise value
-  // this fix removes; clamp to the smallest positive normal. No draw
-  // uniform_real_distribution emits (multiples of 2^-53) hits the clamp,
-  // so generator-fed noise streams are unchanged bit for bit.
+  // collapses to -1/2), where log would produce an infinite noise value;
+  // clamp to the smallest positive normal. A u of 0 itself does reach it
+  // (a half-open [0, 1) uniform emits it with probability 2^-53), which is
+  // why both generators draw through OpenUnitFromBits, whose smallest
+  // output 2^-53 stays at 52 ln 2 * scale.
   const double tail = std::max(1.0 - 2.0 * std::fabs(t),
                                std::numeric_limits<double>::min());
   return -scale * sign * std::log(tail);
 }
 
+double OpenUnitFromBits(std::uint64_t x) {
+  // (x >> 12) + 0.5 needs at most 53 significant bits, and the scaling by
+  // 2^-52 is exact, so every draw is an exact odd multiple of 2^-53.
+  return (static_cast<double>(x >> 12) + 0.5) * 0x1p-52;
+}
+
 double Rng::Laplace(double scale) {
   assert(scale >= 0.0);
-  // Uniform() draws from the half-open [0, 1); the boundary draw u = 0
-  // maps through the inverse CDF to log(0) = -infinity — an infinite
-  // noise value released to the caller. Redraw into the open interval:
-  // the conditional distribution is unchanged, and every non-boundary
-  // draw produces bit-identical values to the pre-fix stream.
-  double u;
-  do {
-    u = Uniform();
-  } while (u == 0.0);
-  return LaplaceInverseCdf(u, scale);
+  // One word, strictly inside (0, 1): no boundary draw to redraw past.
+  return LaplaceInverseCdf(OpenUnitFromBits(gen_()), scale);
 }
 
 Result<std::size_t> Rng::TryCategorical(const Vector& probs) {

@@ -4,7 +4,8 @@
 // serves simulation, data generation and the mechanism-layer Release
 // functions; the serving paths (Session, the columnar batch plan) draw
 // their noise from the counter-based Philox kernel in engine/batch_kernels.h
-// instead, keyed by TicketNoiseSeed below.
+// instead, keyed by TicketNoiseSeed below. Both map one 64-bit word per
+// Laplace draw through OpenUnitFromBits and LaplaceInverseCdf.
 #ifndef PUFFERFISH_COMMON_RANDOM_H_
 #define PUFFERFISH_COMMON_RANDOM_H_
 
@@ -33,6 +34,8 @@ class Rng {
   ///
   /// This is the noise distribution of every mechanism in the paper
   /// (Algorithms 1-4 all end with "return F(D) + Lap(sigma) noise").
+  /// One engine word per draw, through OpenUnitFromBits: |x| never exceeds
+  /// 52 ln 2 * scale, and no draw is redrawn.
   double Laplace(double scale);
 
   /// \brief Index drawn from a categorical distribution given by `probs`
@@ -63,15 +66,21 @@ class Rng {
 /// Provided for readability when predicting L1 errors in tests/benches.
 inline double LaplaceExpectedAbs(double scale) { return scale; }
 
+/// \brief Maps a 64-bit generator word to a uniform double strictly inside
+/// (0, 1): ((x >> 12) + 0.5) * 2^-52. Every value is exactly representable
+/// and lies in [2^-53, 1 - 2^-53], so LaplaceInverseCdf never reaches its
+/// boundary clamp and no draw needs redrawing. Shared by Rng::Laplace and
+/// the serving kernel (AddTicketLaplaceNoise, engine/batch_kernels.h).
+double OpenUnitFromBits(std::uint64_t x);
+
 /// \brief Inverse-CDF map from a uniform draw u in [0, 1) to
 /// Laplace(0, scale). Finite for EVERY input: the boundary region
 /// (u so close to 0 that 1 - 2|u - 1/2| underflows to 0, where the naive
 /// formula returns -infinity) is clamped to the distribution's finite
-/// extreme. Neither generator reaches the clamp: Rng::Laplace redraws the
-/// exact boundary u = 0, and the serving kernel's uniforms
-/// (OpenUnitFromBits) lie strictly inside (0, 1). Exposed so the boundary
-/// behavior is testable without steering the generator onto the
-/// measure-zero draw.
+/// extreme, -ln(DBL_MIN) * scale ~ 708 * scale. Both generators feed it
+/// OpenUnitFromBits uniforms, which never reach the clamp; it guards
+/// direct callers. Exposed so the boundary behavior is testable without
+/// steering a generator onto the measure-zero draw.
 double LaplaceInverseCdf(double u, double scale);
 
 /// \brief value + Lap(scale): the release primitive shared by every

@@ -218,12 +218,6 @@ PhiloxBlock Philox4x32(PhiloxBlock ctr, PhiloxKey key) {
   return ctr;
 }
 
-double OpenUnitFromBits(std::uint64_t x) {
-  // (x >> 12) + 0.5 needs at most 53 significant bits, and the scaling by
-  // 2^-52 is exact, so every draw is an exact odd multiple of 2^-53.
-  return (static_cast<double>(x >> 12) + 0.5) * 0x1p-52;
-}
-
 void AddTicketLaplaceNoise(double* values, std::size_t n, double scale,
                            std::uint64_t stream_key) {
   const PhiloxKey key = {static_cast<std::uint32_t>(stream_key),

@@ -85,18 +85,13 @@ using PhiloxKey = std::array<std::uint32_t, 2>;
 /// Random123's philox4x32_10 (pinned by its known-answer vectors).
 PhiloxBlock Philox4x32(PhiloxBlock counter, PhiloxKey key);
 
-/// \brief Maps a 64-bit generator word to a uniform double strictly inside
-/// (0, 1): ((x >> 12) + 0.5) * 2^-52. Every value is exactly representable
-/// and lies in [2^-53, 1 - 2^-53], so LaplaceInverseCdf never reaches its
-/// boundary clamp and no draw needs redrawing.
-double OpenUnitFromBits(std::uint64_t x);
-
 /// \brief The noise kernel of both serving paths: values[j] += Lap(scale)
 /// for j in [0, n). The stream is keyed by `stream_key`
 /// (TicketNoiseSeed(session seed, ticket) on the serving paths) and the
 /// draw index is the counter: draw j takes 64-bit word j % 2 of the
 /// Philox4x32-10 block at counter j / 2 (word 0 = out[1]:out[0], word 1 =
-/// out[3]:out[2]), mapped through OpenUnitFromBits and LaplaceInverseCdf.
+/// out[3]:out[2]), mapped through OpenUnitFromBits and LaplaceInverseCdf
+/// (common/random.h).
 /// Stateless — no per-stream setup — so a one-coordinate release costs one
 /// block. Like the Mersenne Twister it replaced, Philox is not a CSPRNG: the
 /// secrecy of the session seed is what protects the noise.

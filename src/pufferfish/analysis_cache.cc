@@ -2,6 +2,7 @@
 
 #include "common/failpoint.h"
 #include "common/fingerprint.h"
+#include "pufferfish/framework.h"
 
 namespace pf {
 
@@ -11,6 +12,18 @@ void BumpPlanHitCounter(const MechanismPlan& plan) {
   // point; callers only ever read a snapshot.
   if (plan.cache_hits != nullptr) {
     plan.cache_hits->fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+// The FIFO bound every store shares: drops the oldest entries until at
+// most `max_entries` remain (0 = unbounded). An evicted entry only
+// forfeits future reuse; in-flight users hold its shared_ptr.
+template <typename Map, typename Order>
+void EvictOldest(std::size_t max_entries, Map* map, Order* order) {
+  if (max_entries == 0) return;
+  while (map->size() > max_entries && !order->empty()) {
+    map->erase(order->front());
+    order->pop_front();
   }
 }
 }  // namespace
@@ -52,10 +65,38 @@ Result<std::shared_ptr<const MechanismPlan>> AnalysisCache::GetOrAnalyze(
   PF_FAILPOINT("analysis_cache.analyze");
   // Analyze outside the lock: analyses of different keys overlap, and a
   // duplicated analysis of the same key is merely wasted work, not an error.
-  Result<MechanismPlan> plan = mechanism.Analyze(epsilon);
+  Result<MechanismPlan> plan = AnalyzeMiss(mechanism, key.fingerprint, epsilon);
   if (!plan.ok()) return plan.status().WithContext("cold analysis");
   return StorePlan(key,
                    std::make_shared<const MechanismPlan>(std::move(plan).value()));
+}
+
+Result<MechanismPlan> AnalysisCache::AnalyzeMiss(const Mechanism& mechanism,
+                                                 std::uint64_t fingerprint,
+                                                 double epsilon) {
+  const Key key{fingerprint, 0, mechanism.kind()};
+  std::shared_ptr<const EpsilonFreeAnalysis> table;
+  {
+    MutexLock lock(tables_mutex_);
+    auto it = tables_.find(key);
+    if (it != tables_.end()) table = it->second;
+  }
+  if (table == nullptr) {
+    // Every Analyze refuses such an epsilon first; refuse it before
+    // paying for a build. The build runs outside the lock, like plans; a
+    // failed or cancelled one stores nothing, so the next miss starts over.
+    PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
+    PF_ASSIGN_OR_RETURN(table, mechanism.AnalyzeEpsilonFree());
+    if (table == nullptr) return mechanism.Analyze(epsilon);
+    MutexLock lock(tables_mutex_);
+    auto [it, inserted] = tables_.emplace(key, table);
+    table = it->second;  // The incumbent wins a duplicate-build race.
+    if (inserted) {
+      tables_order_.push_back(key);
+      EvictOldest(max_entries_, &tables_, &tables_order_);
+    }
+  }
+  return table->PlanAt(epsilon);
 }
 
 std::shared_ptr<const MechanismPlan> AnalysisCache::StorePlan(
@@ -69,7 +110,7 @@ std::shared_ptr<const MechanismPlan> AnalysisCache::StorePlan(
     raced = !inserted;
     if (inserted) {
       insertion_order_.push_back(key);
-      EvictIfFull();
+      EvictOldest(max_entries_, &plans_, &insertion_order_);
     }
   }
   if (raced) {
@@ -109,15 +150,7 @@ Result<std::shared_ptr<const MechanismPlan>> AnalysisCache::GetOrExtend(
       entry = std::make_shared<ChainEntry>();
       chains_.emplace(chain_key, entry);
       chains_order_.push_back(chain_key);
-      // Chain entries hold O(T) scan state; bound them like plans. An
-      // evicted entry only forfeits future extension reuse — in-flight
-      // users hold the shared_ptr.
-      if (max_entries_ != 0) {
-        while (chains_.size() > max_entries_ && !chains_order_.empty()) {
-          chains_.erase(chains_order_.front());
-          chains_order_.pop_front();
-        }
-      }
+      EvictOldest(max_entries_, &chains_, &chains_order_);
     }
   }
   MutexLock entry_lock(entry->mutex);
@@ -183,18 +216,10 @@ std::size_t AnalysisCache::ImportPlans(const std::vector<CachedPlan>& entries) {
     (void)it;
     if (!fresh) continue;
     insertion_order_.push_back(key);
-    EvictIfFull();
+    EvictOldest(max_entries_, &plans_, &insertion_order_);
     ++inserted;
   }
   return inserted;
-}
-
-void AnalysisCache::EvictIfFull() {
-  if (max_entries_ == 0) return;
-  while (plans_.size() > max_entries_ && !insertion_order_.empty()) {
-    plans_.erase(insertion_order_.front());
-    insertion_order_.pop_front();
-  }
 }
 
 AnalysisCache::Stats AnalysisCache::stats() const {
@@ -210,11 +235,21 @@ std::size_t AnalysisCache::size() const {
   return plans_.size();
 }
 
+std::size_t AnalysisCache::epsilon_free_size() const {
+  MutexLock lock(tables_mutex_);
+  return tables_.size();
+}
+
 void AnalysisCache::Clear() {
   {
     MutexLock lock(chains_mutex_);
     chains_.clear();
     chains_order_.clear();
+  }
+  {
+    MutexLock lock(tables_mutex_);
+    tables_.clear();
+    tables_order_.clear();
   }
   MutexLock lock(mutex_);
   plans_.clear();

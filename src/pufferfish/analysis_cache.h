@@ -31,12 +31,21 @@ struct CachedPlan {
   std::shared_ptr<const MechanismPlan> plan;
 };
 
-/// \brief Thread-safe cache of MechanismPlans keyed by
-/// (Mechanism::Fingerprint(), epsilon).
+/// \brief Thread-safe cache of mechanism analyses, in three stores:
 ///
-/// Plans are shared immutable objects; a hit bumps the plan's
-/// cache_hit_count() so callers (and the acceptance tests) can verify that
-/// re-analysis was skipped. Failed analyses are not cached.
+///  - plans: MechanismPlans keyed by (Mechanism::Fingerprint(), epsilon).
+///    Plans are shared immutable objects; a hit bumps the plan's
+///    cache_hit_count() so callers (and the acceptance tests) can verify
+///    that re-analysis was skipped.
+///  - chains: resumable analyses keyed by (PrefixFingerprint(), epsilon),
+///    which GetOrExtend extends to a longer record instead of re-analyzing.
+///  - epsilon-free tables: one EpsilonFreeAnalysis per Fingerprint() (see
+///    Mechanism::AnalyzeEpsilonFree; the MQM-general quilt-influence
+///    table). A plan miss on such a mechanism scores the table at the new
+///    epsilon instead of running a cold Analyze.
+///
+/// Each store holds at most max_entries entries, evicting the oldest
+/// first. Failed or cancelled analyses are stored in none of them.
 class AnalysisCache {
  public:
   struct Stats {
@@ -57,7 +66,8 @@ class AnalysisCache {
   AnalysisCache& operator=(const AnalysisCache&) = delete;
 
   /// \brief Returns the cached plan for (mechanism, epsilon) or runs
-  /// mechanism.Analyze(epsilon), stores, and returns it. The analysis runs
+  /// mechanism.Analyze(epsilon) (or scores the mechanism's epsilon-free
+  /// table, built on first use), stores, and returns it. The analysis runs
   /// outside the cache lock, so slow analyses of *different* keys proceed
   /// concurrently (the loser of a duplicate-key race discards its result).
   /// Safe to call from any number of threads; the per-plan hit counter and
@@ -81,7 +91,9 @@ class AnalysisCache {
   /// \brief True iff a plan for exactly (mechanism.Fingerprint(), epsilon)
   /// is resident. A pure probe: no counters move, no analysis runs. The
   /// engine's shed-cold policy uses this to distinguish warm requests
-  /// (always served) from cold ones (shed under overload).
+  /// (always served) from cold ones (shed under overload). A new epsilon
+  /// on a model whose epsilon-free table is resident still counts as cold
+  /// here, though it costs only a scoring pass.
   bool Contains(const Mechanism& mechanism, double epsilon) const;
 
   /// \brief Snapshot of every resident plan in insertion (eviction) order,
@@ -100,7 +112,11 @@ class AnalysisCache {
   std::size_t ImportPlans(const std::vector<CachedPlan>& entries);
 
   Stats stats() const;
+  /// Resident plans.
   std::size_t size() const;
+  /// Resident epsilon-free tables.
+  std::size_t epsilon_free_size() const;
+  /// Drops every plan, chain and epsilon-free table, and zeroes the stats.
   void Clear();
 
  private:
@@ -130,9 +146,6 @@ class AnalysisCache {
     }
   };
 
-  /// Evicts the oldest entries until size < max_entries_.
-  void EvictIfFull() PF_REQUIRES(mutex_);
-
   /// One retained resumable analysis, chained by prefix fingerprint. The
   /// per-entry mutex serializes extensions (ExtendTo mutates) without
   /// blocking the plan map or other chains.
@@ -144,6 +157,13 @@ class AnalysisCache {
   /// The exact-key hit path shared by GetOrAnalyze and GetOrExtend:
   /// returns the cached plan (bumping hit counters) or nullptr.
   std::shared_ptr<const MechanismPlan> TryGetPlan(const Key& key);
+
+  /// A plan miss: the mechanism's epsilon-free table (built and stored on
+  /// first use) scored at `epsilon`, or a cold Analyze for mechanisms
+  /// without one.
+  Result<MechanismPlan> AnalyzeMiss(const Mechanism& mechanism,
+                                    std::uint64_t fingerprint,
+                                    double epsilon);
 
   /// Stores `plan` under the exact key (duplicate-insert race keeps the
   /// incumbent) and returns the stored plan, bumping hit/miss stats.
@@ -164,6 +184,13 @@ class AnalysisCache {
   std::unordered_map<Key, std::shared_ptr<ChainEntry>, KeyHash> chains_
       PF_GUARDED_BY(chains_mutex_);
   std::deque<Key> chains_order_ PF_GUARDED_BY(chains_mutex_);
+
+  /// Epsilon-free analyses keyed by (Fingerprint(), kind) with
+  /// epsilon_bits 0, bounded by max_entries_ with the same FIFO rule.
+  mutable Mutex tables_mutex_;
+  std::unordered_map<Key, std::shared_ptr<const EpsilonFreeAnalysis>, KeyHash>
+      tables_ PF_GUARDED_BY(tables_mutex_);
+  std::deque<Key> tables_order_ PF_GUARDED_BY(tables_mutex_);
 
   // Lock-free counters: stats() and the hot hit path never contend on
   // mutex_ beyond the map lookup itself.

@@ -82,17 +82,18 @@ Status EnumerationGuardError(std::size_t limit) {
       "(MqmExact / MqmApprox)");
 }
 
-// sigma_i for one node: the min-score quilt over its (validated) search
-// set, against prebuilt per-theta factor systems. Pure in its inputs, so
-// the per-node loop can fan out across threads.
-Result<QuiltScore> ScoreNodeFactors(
+using Candidate = QuiltInfluenceTable::Candidate;
+
+// Every candidate's max-influence, in candidate order, against prebuilt
+// per-theta factor systems. Pure in its inputs, so the per-class loop can
+// fan out across threads.
+Result<std::vector<Candidate>> InfluenceCandidates(
     const std::vector<std::vector<Factor>>& theta_factors,
-    const std::vector<int>& arities, double epsilon,
-    const std::vector<MarkovQuilt>& quilt_set, std::size_t limit,
-    InferenceBackend backend, EliminationStats* stats) {
-  QuiltScore best;
-  best.score = kInf;
-  for (const MarkovQuilt& quilt : quilt_set) {
+    const std::vector<int>& arities, std::vector<MarkovQuilt> quilts,
+    std::size_t limit, InferenceBackend backend, EliminationStats* stats) {
+  std::vector<Candidate> out;
+  out.reserve(quilts.size());
+  for (MarkovQuilt& quilt : quilts) {
     // Per-quilt cancellation checkpoint: each influence evaluation can cost
     // O(k^width), and ParallelFor re-installs the submitting request's
     // deadline in the workers, so this fires inside the parallel node scan.
@@ -101,60 +102,51 @@ Result<QuiltScore> ScoreNodeFactors(
         double e,
         QuiltMaxInfluenceFactors(theta_factors, arities, quilt, limit,
                                  backend, stats));
-    QuiltScore qs;
-    qs.quilt = quilt;
-    qs.influence = e;
-    qs.score = QuiltScoreFromInfluence(quilt.NearbyCount(), epsilon, e);
-    if (qs.score < best.score) best = qs;
+    out.push_back({std::move(quilt), e});
   }
-  return best;
+  return out;
 }
 
-// One canonical class's search: candidates generated on the canonical
-// graph, scored against the canonical factors. A pure function of the
-// canonical form (plus the shared options), which is exactly why equal
-// forms may share the result bit-for-bit.
-struct CanonicalScore {
+// sigma_i of one class: the first strict minimum of the score over its
+// candidates in search order (+infinity with an empty quilt if none is
+// finite).
+QuiltScore BestCandidate(const std::vector<Candidate>& candidates,
+                         double epsilon) {
   QuiltScore best;
-  EliminationStats stats;
-};
-
-Result<CanonicalScore> ScoreCanonical(const NodeCanonicalForm& form,
-                                      double epsilon,
-                                      const MqmAnalyzeOptions& options,
-                                      QuiltSearchMode search,
-                                      InferenceBackend backend) {
-  const MoralGraph graph(form.adjacency);
-  const std::vector<MarkovQuilt> candidates =
-      search == QuiltSearchMode::kExhaustive
-          ? EnumerateQuilts(graph, /*target=*/0, options.max_quilt_size)
-          : SeparatorQuilts(graph, /*target=*/0, options.separator);
-  CanonicalScore out;
-  PF_ASSIGN_OR_RETURN(
-      out.best,
-      ScoreNodeFactors(form.factors, form.arities, epsilon, candidates,
-                       options.enumeration_limit, backend, &out.stats));
-  return out;
+  best.score = kInf;
+  const Candidate* chosen = nullptr;
+  for (const Candidate& c : candidates) {
+    const double score =
+        QuiltScoreFromInfluence(c.quilt.NearbyCount(), epsilon, c.influence);
+    if (score < best.score) {
+      best.score = score;
+      chosen = &c;
+    }
+  }
+  if (chosen != nullptr) {
+    best.quilt = chosen->quilt;
+    best.influence = chosen->influence;
+  }
+  return best;
 }
 
 // Maps a canonical-label QuiltScore back to the caller's node ids through
 // one node's own relabeling (each class member uses its OWN order — the
 // class share the canonical problem, not the concrete labels).
-QuiltScore MapBack(const QuiltScore& canonical, const NodeCanonicalForm& form,
+QuiltScore MapBack(const QuiltScore& canonical, const std::vector<int>& order,
                    int target) {
   QuiltScore out = canonical;
   out.quilt.target = target;
   for (std::vector<int>* ids :
        {&out.quilt.quilt, &out.quilt.nearby, &out.quilt.remote}) {
-    for (int& v : *ids) v = form.order[static_cast<std::size_t>(v)];
+    for (int& v : *ids) v = order[static_cast<std::size_t>(v)];
     std::sort(ids->begin(), ids->end());
   }
   return out;
 }
 
-// Deterministic error reduction shared by both analyze paths: surface a
-// real per-slot error (lowest index) before any "not computed" sentinel
-// left behind by the early-out.
+// Deterministic error reduction: surface a real per-slot error (lowest
+// index) before any "not computed" sentinel left behind by the early-out.
 template <typename T>
 Status FirstRealError(const std::vector<Result<T>>& slots) {
   for (const Result<T>& slot : slots) {
@@ -168,6 +160,86 @@ Status FirstRealError(const std::vector<Result<T>>& slots) {
   return Status::OK();
 }
 
+// The influence phase shared by both builders: influences(c, stats) fills
+// class c's candidates, fanned out over the classes and reduced
+// sequentially, so the table is identical for every thread count. The
+// failed flag only short-circuits wasted work on the error path; the
+// reduction still reports the lowest-index error deterministically.
+template <typename Fn>
+Status FillClasses(std::size_t num_threads, std::size_t num_classes,
+                   const Fn& influences, QuiltInfluenceTable* table) {
+  std::vector<Result<std::vector<Candidate>>> slots(
+      num_classes, Status::Internal("not computed"));
+  std::vector<EliminationStats> stats(num_classes);
+  std::atomic<bool> failed{false};
+  ParallelFor(num_threads, num_classes, [&](std::size_t c) {
+    if (failed.load(std::memory_order_relaxed)) return;
+    slots[c] = influences(c, &stats[c]);
+    if (!slots[c].ok()) failed.store(true, std::memory_order_relaxed);
+  });
+  PF_RETURN_NOT_OK(FirstRealError(slots));
+  EliminationStats merged;
+  table->classes.reserve(num_classes);
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    merged.MergeMax(stats[c]);
+    table->classes.push_back(std::move(slots[c]).value());
+  }
+  table->induced_width = merged.induced_width;
+  table->peak_factor_bytes = merged.peak_factor_bytes;
+  return Status::OK();
+}
+
+// The table of caller-supplied quilt sets: every node is its own class,
+// in the caller's labels.
+Result<QuiltInfluenceTable> BuildQuiltInfluenceTableWithQuilts(
+    const std::vector<BayesianNetwork>& thetas,
+    const std::vector<std::vector<MarkovQuilt>>& quilt_sets,
+    const MqmAnalyzeOptions& options) {
+  PF_RETURN_NOT_OK(CheckSameShape(thetas));
+  const std::size_t n = thetas.front().num_nodes();
+  if (quilt_sets.size() != n) {
+    return Status::InvalidArgument("need one quilt set per node");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    PF_RETURN_NOT_OK(CheckQuiltSet(quilt_sets[i], i));
+  }
+  const InferenceBackend backend = ResolveBackend(options.backend);
+  if (backend == InferenceBackend::kEnumeration &&
+      !thetas.front().NumAssignments(options.enumeration_limit).ok()) {
+    return EnumerationGuardError(options.enumeration_limit);
+  }
+  std::vector<std::vector<Factor>> theta_factors;
+  theta_factors.reserve(thetas.size());
+  for (const BayesianNetwork& bn : thetas) theta_factors.push_back(bn.Factors());
+  const std::vector<int> arities = thetas.front().Arities();
+  QuiltInfluenceTable table;
+  PF_RETURN_NOT_OK(FillClasses(
+      options.num_threads, n,
+      [&](std::size_t i, EliminationStats* stats) {
+        return InfluenceCandidates(theta_factors, arities, quilt_sets[i],
+                                   options.enumeration_limit, backend, stats);
+      },
+      &table));
+  table.class_of.resize(n);
+  for (std::size_t i = 0; i < n; ++i) table.class_of[i] = i;
+  table.order.resize(n);
+  table.treewidth_bound = MinFillWidth(UnionMoralGraph(thetas).adjacency());
+  return table;
+}
+
+// Validate epsilon, build, score: the cold analysis both entry points
+// share, with the build's arena growth attributed to the plan.
+template <typename Build>
+Result<MqmAnalysis> BuildAndScore(double epsilon, const Build& build) {
+  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
+  const std::size_t arena_blocks_before = Arena::TotalBlockAllocations();
+  PF_ASSIGN_OR_RETURN(const QuiltInfluenceTable table, build());
+  PF_ASSIGN_OR_RETURN(MqmAnalysis analysis,
+                      ScoreQuiltInfluenceTable(table, epsilon));
+  analysis.memory.mallocs =
+      Arena::TotalBlockAllocations() - arena_blocks_before;
+  return analysis;
+}
 }  // namespace
 
 double QuiltScoreFromInfluence(std::size_t nearby_count, double epsilon,
@@ -245,82 +317,9 @@ Result<double> QuiltMaxInfluence(const std::vector<BayesianNetwork>& thetas,
                                   quilt, limit, backend, stats);
 }
 
-Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
-    const std::vector<BayesianNetwork>& thetas, double epsilon,
-    const std::vector<std::vector<MarkovQuilt>>& quilt_sets,
+Result<QuiltInfluenceTable> BuildQuiltInfluenceTable(
+    const std::vector<BayesianNetwork>& thetas,
     const MqmAnalyzeOptions& options) {
-  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
-  PF_RETURN_NOT_OK(CheckSameShape(thetas));
-  const std::size_t n = thetas.front().num_nodes();
-  if (quilt_sets.size() != n) {
-    return Status::InvalidArgument("need one quilt set per node");
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    PF_RETURN_NOT_OK(CheckQuiltSet(quilt_sets[i], i));
-  }
-  const InferenceBackend backend = ResolveBackend(options.backend);
-  if (backend == InferenceBackend::kEnumeration &&
-      !thetas.front().NumAssignments(options.enumeration_limit).ok()) {
-    return EnumerationGuardError(options.enumeration_limit);
-  }
-  std::vector<std::vector<Factor>> theta_factors;
-  theta_factors.reserve(thetas.size());
-  for (const BayesianNetwork& bn : thetas) theta_factors.push_back(bn.Factors());
-  const std::vector<int> arities = thetas.front().Arities();
-  // Per-node searches are independent; fan out and reduce sequentially so
-  // the result is identical for every thread count. The failed flag only
-  // short-circuits wasted work on the error path; the reduction below
-  // still reports the lowest-index error deterministically.
-  std::vector<Result<QuiltScore>> scores(n, Status::Internal("not computed"));
-  std::vector<EliminationStats> stats(n);
-  const std::size_t arena_blocks_before = Arena::TotalBlockAllocations();
-  std::atomic<bool> failed{false};
-  ParallelFor(options.num_threads, n, [&](std::size_t i) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    scores[i] =
-        ScoreNodeFactors(theta_factors, arities, epsilon, quilt_sets[i],
-                         options.enumeration_limit, backend, &stats[i]);
-    if (!scores[i].ok()) failed.store(true, std::memory_order_relaxed);
-  });
-  PF_RETURN_NOT_OK(FirstRealError(scores));
-  MqmAnalysis analysis;
-  analysis.active.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const QuiltScore& best = scores[i].value();
-    analysis.active.push_back(best);
-    if (best.score > analysis.sigma_max) {
-      analysis.sigma_max = best.score;
-      analysis.worst_node = static_cast<int>(i);
-    }
-  }
-  EliminationStats merged;
-  for (const EliminationStats& s : stats) merged.MergeMax(s);
-  analysis.total_nodes = n;
-  analysis.scored_nodes = n;
-  analysis.induced_width = merged.induced_width;
-  analysis.memory.peak_bytes = merged.peak_factor_bytes;
-  analysis.memory.arena_retained_bytes = Arena::TotalRetainedBytes();
-  analysis.memory.mallocs =
-      Arena::TotalBlockAllocations() - arena_blocks_before;
-  analysis.treewidth_bound =
-      MinFillWidth(UnionMoralGraph(thetas).adjacency());
-  return analysis;
-}
-
-Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
-    const std::vector<BayesianNetwork>& thetas, double epsilon,
-    const std::vector<std::vector<MarkovQuilt>>& quilt_sets,
-    std::size_t enumeration_limit) {
-  MqmAnalyzeOptions options;
-  options.enumeration_limit = enumeration_limit;
-  return AnalyzeMarkovQuiltMechanismWithQuilts(thetas, epsilon, quilt_sets,
-                                               options);
-}
-
-Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
-    const std::vector<BayesianNetwork>& thetas, double epsilon,
-    const MqmAnalyzeOptions& options) {
-  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
   PF_RETURN_NOT_OK(CheckSameShape(thetas));
   const MoralGraph graph = UnionMoralGraph(thetas);
   const std::size_t n = thetas.front().num_nodes();
@@ -342,7 +341,8 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
   // ids and representatives for every thread count). The hash only routes
   // to a bucket; membership is decided by the exact form comparison, for
   // which a representative's factors are built on first use.
-  std::vector<std::size_t> class_of(n, 0);
+  QuiltInfluenceTable table;
+  table.class_of.assign(n, 0);
   std::vector<std::size_t> representative;
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
   for (std::size_t i = 0; i < n; ++i) {
@@ -353,7 +353,7 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
       for (std::size_t candidate : buckets[forms[i].key]) {
         canonicalizer.Materialize(&forms[candidate]);
         if (canonicalizer.SameProblem(forms[i], forms[candidate])) {
-          cls = class_of[candidate];
+          cls = table.class_of[candidate];
           break;
         }
       }
@@ -362,46 +362,93 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
       representative.push_back(i);
       buckets[forms[i].key].push_back(i);
     }
-    class_of[i] = cls;
+    table.class_of[i] = cls;
   }
-  // Phase 3: score one representative per class, in parallel.
-  const std::size_t arena_blocks_before = Arena::TotalBlockAllocations();
-  const std::size_t num_classes = representative.size();
-  std::vector<Result<CanonicalScore>> scored(
-      num_classes, Status::Internal("not computed"));
-  std::atomic<bool> failed{false};
-  ParallelFor(options.num_threads, num_classes, [&](std::size_t c) {
-    if (failed.load(std::memory_order_relaxed)) return;
-    NodeCanonicalForm& form = forms[representative[c]];
-    canonicalizer.Materialize(&form);
-    scored[c] = ScoreCanonical(form, epsilon, options, search, backend);
-    if (!scored[c].ok()) failed.store(true, std::memory_order_relaxed);
-  });
-  PF_RETURN_NOT_OK(FirstRealError(scored));
-  // Phase 4: sequential reduction — each node maps its class's canonical
-  // result back through its OWN relabeling.
+  // Phase 3: one representative per class, in parallel: candidates
+  // generated on the canonical graph, influences against the canonical
+  // factors. A pure function of the canonical form (plus the shared
+  // options), which is exactly why equal forms may share the result
+  // bit-for-bit.
+  PF_RETURN_NOT_OK(FillClasses(
+      options.num_threads, representative.size(),
+      [&](std::size_t c, EliminationStats* stats) {
+        NodeCanonicalForm& form = forms[representative[c]];
+        canonicalizer.Materialize(&form);
+        const MoralGraph canonical(form.adjacency);
+        return InfluenceCandidates(
+            form.factors, form.arities,
+            search == QuiltSearchMode::kExhaustive
+                ? EnumerateQuilts(canonical, /*target=*/0,
+                                  options.max_quilt_size)
+                : SeparatorQuilts(canonical, /*target=*/0, options.separator),
+            options.enumeration_limit, backend, stats);
+      },
+      &table));
+  // Phase 4 needs only each node's relabeling.
+  table.order.reserve(n);
+  for (NodeCanonicalForm& form : forms) table.order.push_back(std::move(form.order));
+  table.treewidth_bound = MinFillWidth(graph.adjacency());
+  return table;
+}
+
+Result<MqmAnalysis> ScoreQuiltInfluenceTable(const QuiltInfluenceTable& table,
+                                             double epsilon) {
+  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
+  PF_RETURN_NOT_OK(CheckDeadline("quilt scoring"));
+  std::vector<QuiltScore> best;
+  best.reserve(table.classes.size());
+  for (const std::vector<Candidate>& candidates : table.classes) {
+    best.push_back(BestCandidate(candidates, epsilon));
+  }
+  // Phase 4: sequential reduction — each node maps its class's result back
+  // through its OWN relabeling.
+  const std::size_t n = table.total_nodes();
   MqmAnalysis analysis;
   analysis.active.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    const QuiltScore best = MapBack(scored[class_of[i]].value().best,
-                                    forms[i], static_cast<int>(i));
-    analysis.active.push_back(best);
-    if (best.score > analysis.sigma_max) {
-      analysis.sigma_max = best.score;
+    const QuiltScore& chosen = best[table.class_of[i]];
+    analysis.active.push_back(
+        table.order[i].empty()
+            ? chosen
+            : MapBack(chosen, table.order[i], static_cast<int>(i)));
+    if (chosen.score > analysis.sigma_max) {
+      analysis.sigma_max = chosen.score;
       analysis.worst_node = static_cast<int>(i);
     }
   }
-  EliminationStats merged;
-  for (const Result<CanonicalScore>& s : scored) merged.MergeMax(s.value().stats);
   analysis.total_nodes = n;
-  analysis.scored_nodes = num_classes;
-  analysis.induced_width = merged.induced_width;
-  analysis.memory.peak_bytes = merged.peak_factor_bytes;
+  analysis.scored_nodes = table.scored_nodes();
+  analysis.induced_width = table.induced_width;
+  analysis.treewidth_bound = table.treewidth_bound;
+  analysis.memory.peak_bytes = table.peak_factor_bytes;
   analysis.memory.arena_retained_bytes = Arena::TotalRetainedBytes();
-  analysis.memory.mallocs =
-      Arena::TotalBlockAllocations() - arena_blocks_before;
-  analysis.treewidth_bound = MinFillWidth(graph.adjacency());
   return analysis;
+}
+
+Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
+    const std::vector<BayesianNetwork>& thetas, double epsilon,
+    const std::vector<std::vector<MarkovQuilt>>& quilt_sets,
+    const MqmAnalyzeOptions& options) {
+  return BuildAndScore(epsilon, [&] {
+    return BuildQuiltInfluenceTableWithQuilts(thetas, quilt_sets, options);
+  });
+}
+
+Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
+    const std::vector<BayesianNetwork>& thetas, double epsilon,
+    const std::vector<std::vector<MarkovQuilt>>& quilt_sets,
+    std::size_t enumeration_limit) {
+  MqmAnalyzeOptions options;
+  options.enumeration_limit = enumeration_limit;
+  return AnalyzeMarkovQuiltMechanismWithQuilts(thetas, epsilon, quilt_sets,
+                                               options);
+}
+
+Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
+    const std::vector<BayesianNetwork>& thetas, double epsilon,
+    const MqmAnalyzeOptions& options) {
+  return BuildAndScore(
+      epsilon, [&] { return BuildQuiltInfluenceTable(thetas, options); });
 }
 
 Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(

@@ -69,10 +69,12 @@ struct MqmAnalysis {
   /// (0 under the enumeration backend). `arena_retained_bytes`: bytes held
   /// by the per-thread elimination workspace arenas for reuse.
   /// `mallocs`: arena block allocations during the analysis — 0 once the
-  /// workspaces are warm. The latter two are read from process-wide arena
-  /// counters, so concurrent unrelated analyses can inflate them; the
-  /// steady-state zero of `mallocs` is exact when this analysis runs
-  /// alone.
+  /// workspaces are warm, and always 0 for a plan scored from a cached
+  /// QuiltInfluenceTable (scoring runs no inference; the build that filled
+  /// the table is not attributed to any plan). The latter two are read
+  /// from process-wide arena counters, so concurrent unrelated analyses
+  /// can inflate them; the steady-state zero of `mallocs` is exact when
+  /// this analysis runs alone.
   MemoryStats memory;
   /// Work saved by the node-class dedup: total_nodes / scored_nodes.
   double dedup_ratio() const {
@@ -169,14 +171,63 @@ Result<double> QuiltMaxInfluenceFactors(
     std::size_t limit, InferenceBackend backend,
     EliminationStats* stats = nullptr);
 
-/// \brief Runs the Algorithm 2 search with quilts generated per
-/// options.quilt_search (always including the trivial quilt, as Theorem
-/// 4.3 requires) over the UNION moral graph of the class — a separator of
-/// the union graph separates in every theta, which is what Definition 4.2
-/// demands of the whole class. All networks must share node count and
-/// arities. The per-node sigma_i searches run on options.num_threads
-/// threads and deduplicate by canonical node class unless
-/// options.dedup_nodes is off.
+/// \brief The epsilon-free half of Algorithm 2. sigma(X_Q) =
+/// card(X_N) / (epsilon - e_Q) is the only place epsilon enters the
+/// search: the canonical node classes, the candidate quilts and their
+/// max-influences e_Q depend on the model alone. A table holds exactly
+/// what scoring needs (no factor tables, no canonical forms), so it is
+/// built once per model and scored at any number of epsilons.
+struct QuiltInfluenceTable {
+  /// One candidate quilt, in its class's labels, with its max-influence.
+  struct Candidate {
+    MarkovQuilt quilt;
+    double influence = 0.0;
+  };
+  /// Per class: every candidate quilt in search order (the order the
+  /// `score < best` scan visits, which breaks ties).
+  std::vector<std::vector<Candidate>> classes;
+  /// Per node: its class id.
+  std::vector<std::size_t> class_of;
+  /// Per node: order[class label] = node id, mapping the class's quilts to
+  /// the node's own labels. Empty when the class already uses the caller's
+  /// labels (caller-supplied quilt sets).
+  std::vector<std::vector<int>> order;
+  /// Largest elimination clique (minus one) over all influence inferences.
+  std::size_t induced_width = 0;
+  /// Peak bytes of live factor tables in any one influence inference.
+  std::size_t peak_factor_bytes = 0;
+  /// Min-fill induced width of the (union) moral graph.
+  std::size_t treewidth_bound = 0;
+
+  /// sigma_i searches the table holds (one per class).
+  std::size_t scored_nodes() const { return classes.size(); }
+  /// Nodes covered.
+  std::size_t total_nodes() const { return class_of.size(); }
+};
+
+/// \brief Builds the epsilon-free table of the Algorithm 2 search with
+/// quilts generated per options.quilt_search (always including the trivial
+/// quilt, as Theorem 4.3 requires) over the UNION moral graph of the class
+/// — a separator of the union graph separates in every theta, which is
+/// what Definition 4.2 demands of the whole class. All networks must share
+/// node count and arities. The per-class influence searches run on
+/// options.num_threads threads and deduplicate by canonical node class
+/// unless options.dedup_nodes is off. Checks the request deadline before
+/// every quilt.
+Result<QuiltInfluenceTable> BuildQuiltInfluenceTable(
+    const std::vector<BayesianNetwork>& thetas,
+    const MqmAnalyzeOptions& options);
+
+/// \brief The epsilon half of Algorithm 2: per class the min-score
+/// candidate (first strict minimum in search order), mapped back to every
+/// member node, and sigma_max = max_i sigma_i. Validates epsilon, then
+/// checks the deadline once. Bit-identical to a fresh analysis at
+/// `epsilon`; `memory.mallocs` is 0 (scoring runs no inference).
+Result<MqmAnalysis> ScoreQuiltInfluenceTable(const QuiltInfluenceTable& table,
+                                             double epsilon);
+
+/// \brief BuildQuiltInfluenceTable then ScoreQuiltInfluenceTable, after
+/// validating epsilon; `memory.mallocs` counts the build's arena blocks.
 Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
     const std::vector<BayesianNetwork>& thetas, double epsilon,
     const MqmAnalyzeOptions& options);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/arena.h"
 #include "common/fingerprint.h"
 #include "engine/batch_kernels.h"
 
@@ -21,13 +22,19 @@ const char* MechanismKindName(MechanismKind kind) {
   return "Unknown";
 }
 
-MechanismPlan Mechanism::NewPlan(double epsilon, double sigma) const {
+namespace {
+MechanismPlan MakePlan(MechanismKind kind, double epsilon, double sigma) {
   MechanismPlan plan;
-  plan.kind = kind();
+  plan.kind = kind;
   plan.epsilon = epsilon;
   plan.sigma = sigma;
   plan.cache_hits = std::make_shared<std::atomic<std::uint64_t>>(0);
   return plan;
+}
+}  // namespace
+
+MechanismPlan Mechanism::NewPlan(double epsilon, double sigma) const {
+  return MakePlan(kind(), epsilon, sigma);
 }
 
 Result<std::unique_ptr<ResumableAnalysis>> Mechanism::AnalyzeResumable(
@@ -179,12 +186,44 @@ std::uint64_t WassersteinUnified::Fingerprint() const {
 
 // ------------------------------------------------------------- MQMGeneral --
 
+namespace {
+// A built QuiltInfluenceTable, scored into plans.
+class QuiltInfluencePlans : public EpsilonFreeAnalysis {
+ public:
+  explicit QuiltInfluencePlans(QuiltInfluenceTable table)
+      : table_(std::move(table)) {}
+
+  Result<MechanismPlan> PlanAt(double epsilon) const override {
+    PF_ASSIGN_OR_RETURN(MqmAnalysis analysis,
+                        ScoreQuiltInfluenceTable(table_, epsilon));
+    MechanismPlan plan =
+        MakePlan(MechanismKind::kMqmGeneral, epsilon, analysis.sigma_max);
+    plan.applicable = std::isfinite(analysis.sigma_max);
+    plan.mqm = std::move(analysis);
+    return plan;
+  }
+
+ private:
+  const QuiltInfluenceTable table_;
+};
+}  // namespace
+
+Result<std::shared_ptr<const EpsilonFreeAnalysis>>
+MqmGeneralUnified::AnalyzeEpsilonFree() const {
+  PF_ASSIGN_OR_RETURN(QuiltInfluenceTable table,
+                      BuildQuiltInfluenceTable(thetas_, options_));
+  return std::shared_ptr<const EpsilonFreeAnalysis>(
+      std::make_shared<const QuiltInfluencePlans>(std::move(table)));
+}
+
 Result<MechanismPlan> MqmGeneralUnified::Analyze(double epsilon) const {
-  PF_ASSIGN_OR_RETURN(MqmAnalysis analysis,
-                      AnalyzeMarkovQuiltMechanism(thetas_, epsilon, options_));
-  MechanismPlan plan = NewPlan(epsilon, analysis.sigma_max);
-  plan.applicable = std::isfinite(analysis.sigma_max);
-  plan.mqm = std::move(analysis);
+  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
+  const std::uint64_t arena_blocks_before = Arena::TotalBlockAllocations();
+  PF_ASSIGN_OR_RETURN(const std::shared_ptr<const EpsilonFreeAnalysis> table,
+                      AnalyzeEpsilonFree());
+  PF_ASSIGN_OR_RETURN(MechanismPlan plan, table->PlanAt(epsilon));
+  plan.mqm.memory.mallocs =
+      Arena::TotalBlockAllocations() - arena_blocks_before;
   return plan;
 }
 
@@ -258,13 +297,10 @@ class ChainResumableAnalysis : public ResumableAnalysis {
 
   Result<MechanismPlan> CurrentPlan() const {
     const ChainMqmResult& analysis = analysis_.result();
-    MechanismPlan plan;
-    plan.kind = MechanismKind::kMqmExact;
-    plan.epsilon = epsilon_;
-    plan.sigma = analysis.sigma_max;
+    MechanismPlan plan =
+        MakePlan(MechanismKind::kMqmExact, epsilon_, analysis.sigma_max);
     plan.applicable = std::isfinite(analysis.sigma_max);
     plan.chain = analysis;
-    plan.cache_hits = std::make_shared<std::atomic<std::uint64_t>>(0);
     return plan;
   }
 

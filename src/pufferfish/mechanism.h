@@ -121,6 +121,21 @@ class ResumableAnalysis {
   virtual Result<MechanismPlan> ExtendTo(std::size_t new_length) = 0;
 };
 
+/// \brief The epsilon-free part of a mechanism's analysis, computed once
+/// per model and scored at any epsilon. Produced by
+/// Mechanism::AnalyzeEpsilonFree; the AnalysisCache keeps one per model
+/// (keyed by Fingerprint()), so a new epsilon costs a scoring pass instead
+/// of a cold Analyze. Immutable, so PlanAt may run concurrently.
+class EpsilonFreeAnalysis {
+ public:
+  virtual ~EpsilonFreeAnalysis() = default;
+
+  /// \brief The plan at `epsilon` — bit-identical to the owning
+  /// mechanism's Analyze(epsilon) (same sigma and diagnostics, except
+  /// arena `mallocs`, which read 0: scoring allocates nothing of note).
+  virtual Result<MechanismPlan> PlanAt(double epsilon) const = 0;
+};
+
 /// \brief A mechanism = model + configuration, ready to be analyzed at any
 /// privacy level. Implementations are immutable after construction, so one
 /// mechanism can be analyzed concurrently at several epsilons.
@@ -159,6 +174,13 @@ class Mechanism {
   /// mechanisms retain per-length state worth resuming).
   virtual Result<std::unique_ptr<ResumableAnalysis>> AnalyzeResumable(
       double epsilon) const;
+
+  /// \brief Runs the epsilon-free part of the analysis, or returns null
+  /// for mechanisms without one (the default: no analysis, no error).
+  virtual Result<std::shared_ptr<const EpsilonFreeAnalysis>>
+  AnalyzeEpsilonFree() const {
+    return std::shared_ptr<const EpsilonFreeAnalysis>();
+  }
 
  protected:
   /// Helper for Analyze implementations: a plan skeleton with the counter
@@ -268,7 +290,8 @@ class WassersteinUnified : public Mechanism {
   WassersteinBackend backend_;
 };
 
-/// Algorithm 2 on a class of general Bayesian networks.
+/// Algorithm 2 on a class of general Bayesian networks. Analyze is
+/// AnalyzeEpsilonFree (the QuiltInfluenceTable build) followed by PlanAt.
 class MqmGeneralUnified : public Mechanism {
  public:
   MqmGeneralUnified(std::vector<BayesianNetwork> thetas,
@@ -278,6 +301,8 @@ class MqmGeneralUnified : public Mechanism {
   std::string name() const override { return "MQM"; }
   Result<MechanismPlan> Analyze(double epsilon) const override;
   std::uint64_t Fingerprint() const override;
+  Result<std::shared_ptr<const EpsilonFreeAnalysis>> AnalyzeEpsilonFree()
+      const override;
 
  private:
   std::vector<BayesianNetwork> thetas_;

@@ -4,9 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <thread>
 #include <vector>
 
+#include "common/deadline.h"
+#include "common/fingerprint.h"
+#include "data/topologies.h"
 #include "graphical/markov_chain.h"
 
 namespace pf {
@@ -225,6 +229,138 @@ TEST(AnalysisCacheTest, ConcurrentHitsCountExactly) {
   EXPECT_EQ(plan->cache_hit_count(), kThreads * kHitsPerThread + 1);
   EXPECT_EQ(cache.stats().hits, kThreads * kHitsPerThread + 1);
   EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+// ------------------------------------------------- epsilon-free tables --
+
+// The class pf-bench's cold-analyze workload compiles: two same-shape
+// 31-node binary trees.
+std::vector<BayesianNetwork> TwoTreeClass() {
+  std::vector<BayesianNetwork> thetas;
+  for (double flip : {0.3, 0.35}) {
+    thetas.push_back(TreeNetwork(31, 2, BinaryRoot(0.3),
+                                 BinaryNoisyCopyCpt(flip))
+                         .ValueOrDie());
+  }
+  return thetas;
+}
+
+MqmAnalyzeOptions OneThread() {
+  MqmAnalyzeOptions options;
+  options.num_threads = 1;
+  return options;
+}
+
+void ExpectNetworkPlansBitIdentical(const MechanismPlan& got,
+                                    const MechanismPlan& want) {
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(DoubleBits(got.epsilon), DoubleBits(want.epsilon));
+  EXPECT_EQ(DoubleBits(got.sigma), DoubleBits(want.sigma));
+  EXPECT_EQ(got.applicable, want.applicable);
+  const MqmAnalysis& a = got.mqm;
+  const MqmAnalysis& b = want.mqm;
+  EXPECT_EQ(DoubleBits(a.sigma_max), DoubleBits(b.sigma_max));
+  EXPECT_EQ(a.worst_node, b.worst_node);
+  EXPECT_EQ(a.induced_width, b.induced_width);
+  EXPECT_EQ(a.memory.peak_bytes, b.memory.peak_bytes);
+  EXPECT_EQ(a.scored_nodes, b.scored_nodes);
+  EXPECT_EQ(a.total_nodes, b.total_nodes);
+  EXPECT_EQ(a.treewidth_bound, b.treewidth_bound);
+  ASSERT_EQ(a.active.size(), b.active.size());
+  for (std::size_t i = 0; i < a.active.size(); ++i) {
+    EXPECT_EQ(DoubleBits(a.active[i].score), DoubleBits(b.active[i].score))
+        << "node " << i;
+    EXPECT_EQ(DoubleBits(a.active[i].influence),
+              DoubleBits(b.active[i].influence))
+        << "node " << i;
+    EXPECT_EQ(a.active[i].quilt.target, b.active[i].quilt.target);
+    EXPECT_EQ(a.active[i].quilt.quilt, b.active[i].quilt.quilt) << "node " << i;
+    EXPECT_EQ(a.active[i].quilt.nearby, b.active[i].quilt.nearby);
+    EXPECT_EQ(a.active[i].quilt.remote, b.active[i].quilt.remote);
+  }
+}
+
+// One table serves every epsilon: 120 epsilons from 1e-4 (every nontrivial
+// quilt's influence exceeds it, so those quilts score +infinity and the
+// trivial quilt wins) to 20, each equal bit for bit to Mechanism::Analyze
+// on a mechanism that has never been near a cache.
+TEST(AnalysisCacheTest, EpsilonFreeTableServesPlansBitIdenticalToAnalyze) {
+  AnalysisCache cache;
+  const MqmGeneralUnified mechanism(TwoTreeClass(), OneThread());
+  bool saw_all_trivial = false;
+  bool saw_nontrivial = false;
+  for (int k = 0; k < 120; ++k) {
+    const double epsilon = 1e-4 * std::pow(2e5, k / 119.0);
+    const auto served = cache.GetOrAnalyze(mechanism, epsilon);
+    ASSERT_TRUE(served.ok()) << served.status().ToString();
+    EXPECT_EQ(served.value()->mqm.memory.mallocs, 0u);
+    const MqmGeneralUnified fresh(TwoTreeClass(), OneThread());
+    ExpectNetworkPlansBitIdentical(*served.value(),
+                                   fresh.Analyze(epsilon).ValueOrDie());
+    bool all_trivial = true;
+    for (const QuiltScore& q : served.value()->mqm.active) {
+      all_trivial &= q.quilt.IsTrivial();
+    }
+    saw_all_trivial |= all_trivial;
+    saw_nontrivial |= !all_trivial;
+  }
+  // Both regimes were scored: every nontrivial quilt at +infinity, and
+  // nontrivial quilts mapped back through each node's relabeling.
+  EXPECT_TRUE(saw_all_trivial);
+  EXPECT_TRUE(saw_nontrivial);
+  EXPECT_EQ(cache.epsilon_free_size(), 1u);
+  EXPECT_EQ(cache.stats().misses, 120u);
+}
+
+TEST(AnalysisCacheTest, CancelledTableBuildLeavesNothingResident) {
+  AnalysisCache cache;
+  const MqmGeneralUnified mechanism(TwoTreeClass(), OneThread());
+  {
+    DeadlineScope scope(Deadline::Expired());
+    const auto cancelled = cache.GetOrAnalyze(mechanism, 1.0);
+    ASSERT_FALSE(cancelled.ok());
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded);
+  }
+  EXPECT_EQ(cache.epsilon_free_size(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
+  // An invalid epsilon is refused before any build.
+  EXPECT_FALSE(cache.GetOrAnalyze(mechanism, -1.0).ok());
+  EXPECT_EQ(cache.epsilon_free_size(), 0u);
+  // The retry builds the table afresh and serves the cold answer.
+  const auto retried = cache.GetOrAnalyze(mechanism, 1.0);
+  ASSERT_TRUE(retried.ok()) << retried.status().ToString();
+  ExpectNetworkPlansBitIdentical(*retried.value(),
+                                 mechanism.Analyze(1.0).ValueOrDie());
+  EXPECT_EQ(cache.epsilon_free_size(), 1u);
+  // A cancelled scoring pass on the resident table stores no plan either.
+  {
+    DeadlineScope scope(Deadline::Expired());
+    EXPECT_FALSE(cache.GetOrAnalyze(mechanism, 2.0).ok());
+  }
+  EXPECT_FALSE(cache.Contains(mechanism, 2.0));
+  EXPECT_EQ(cache.epsilon_free_size(), 1u);
+}
+
+TEST(AnalysisCacheTest, ClearAndFifoBoundDropTables) {
+  AnalysisCache cache(/*max_entries=*/2);
+  std::vector<MqmGeneralUnified> models;
+  for (double flip : {0.2, 0.25, 0.3}) {
+    models.emplace_back(
+        std::vector<BayesianNetwork>{
+            TreeNetwork(7, 2, BinaryRoot(0.4), BinaryNoisyCopyCpt(flip))
+                .ValueOrDie()},
+        OneThread());
+  }
+  for (const MqmGeneralUnified& model : models) {
+    ASSERT_TRUE(cache.GetOrAnalyze(model, 1.0).ok());
+  }
+  EXPECT_EQ(cache.epsilon_free_size(), 2u);  // The first model's evicted.
+  // Non-table mechanisms never enter the store.
+  ASSERT_TRUE(cache.GetOrAnalyze(LaplaceDpUnified(1.0), 1.0).ok());
+  EXPECT_EQ(cache.epsilon_free_size(), 2u);
+  cache.Clear();
+  EXPECT_EQ(cache.epsilon_free_size(), 0u);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -93,15 +94,50 @@ TEST(HotPathStressTest, ConcurrentNetworkAnalysesShareThreadLocalArenas) {
   std::atomic<bool> failed{false};
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
-  // Distinct epsilons defeat the plan cache, so every iteration runs a
-  // real elimination-backed analysis on whatever pool thread picks it up —
-  // hammering the thread_local elimination workspaces from many threads.
+  // Distinct epsilons defeat the plan cache. The first miss builds the
+  // model's quilt-influence table (elimination on the thread that misses
+  // first); every later epsilon only scores that table. The sibling test
+  // below keeps the elimination workspaces under concurrent load.
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&engine, &failed, t] {
       for (int i = 0; i < 6; ++i) {
         const double epsilon = 1.0 + 0.1 * (t * 6 + i);
         const auto stats = engine->AnalyzeStats(epsilon);
         if (!stats.ok() || stats.ValueOrDie().total_nodes != 24u) {
+          failed.store(true);
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_FALSE(failed.load());
+}
+
+TEST(HotPathStressTest, ConcurrentNetworkColdAnalysesShareThreadLocalArenas) {
+  const MarkovChain chain = StressChain();
+  auto engine = PrivacyEngine::Create(
+                    ModelSpec::NetworkClass(
+                        {BayesianNetwork::FromMarkovChain(
+                             chain.initial(), chain.transition(), 24)
+                             .ValueOrDie()}))
+                    .ValueOrDie();
+  const std::shared_ptr<const Mechanism> mechanism = engine->mechanism();
+  const double reference = mechanism->Analyze(1.0).ValueOrDie().sigma;
+  constexpr int kThreads = 4;
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  // Mechanism::Analyze bypasses the cache, so every call runs the full
+  // elimination-backed analysis — each thread on its own thread_local
+  // elimination workspace.
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&mechanism, &failed, reference, t] {
+      for (int i = 0; i < 6; ++i) {
+        const double epsilon = (i % 2 == 0) ? 1.0 : 1.0 + 0.1 * (t * 6 + i);
+        const auto plan = mechanism->Analyze(epsilon);
+        if (!plan.ok() || plan.ValueOrDie().mqm.total_nodes != 24u ||
+            (epsilon == 1.0 && plan.ValueOrDie().sigma != reference)) {
           failed.store(true);
           return;
         }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <random>
 
 namespace pf {
 namespace {
@@ -46,8 +48,9 @@ TEST(RandomTest, LaplaceZeroScaleIsZero) {
 
 // Regression: Uniform() can return exactly 0.0, and the inverse CDF maps
 // the boundary draw to log(0) = -infinity — an infinite released noise
-// value. Laplace() must redraw past the boundary; the inverse-CDF map must
-// be finite everywhere on its open-interval domain.
+// value. Laplace() draws through OpenUnitFromBits, which never emits it;
+// the inverse-CDF map must be finite everywhere on its open-interval
+// domain.
 TEST(RandomTest, LaplaceInverseCdfFiniteOnOpenInterval) {
   const double scale = 1.5;
   // Every draw — including the boundary that used to map to log(0) =
@@ -64,6 +67,29 @@ TEST(RandomTest, LaplaceInverseCdfFiniteOnOpenInterval) {
   EXPECT_DOUBLE_EQ(LaplaceInverseCdf(0.5, scale), 0.0);
   EXPECT_DOUBLE_EQ(LaplaceInverseCdf(0.25, scale),
                    -LaplaceInverseCdf(0.75, scale));
+}
+
+// Rng::Laplace maps one engine word through OpenUnitFromBits, so even the
+// extreme words stay at 52 ln 2 * b: the 2^-64 draw that the old u == 0
+// redraw let through to the ~708 b clamp is gone.
+TEST(RandomTest, LaplaceExtremeWordsStayInsideTheClamp) {
+  const double scale = 2.5;
+  const double bound = 52.0 * std::log(2.0) * scale;
+  const double clamp =
+      -std::log(std::numeric_limits<double>::min()) * scale;
+  for (const std::uint64_t word :
+       {std::uint64_t{0}, std::uint64_t{1}, ~std::uint64_t{0}}) {
+    const double x = LaplaceInverseCdf(OpenUnitFromBits(word), scale);
+    EXPECT_LE(std::fabs(x), bound * (1.0 + 1e-12)) << word;
+    EXPECT_NE(std::fabs(x), clamp) << word;
+  }
+  // The generator takes exactly one engine word per draw.
+  Rng rng(77);
+  std::mt19937_64 words(77);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(rng.Laplace(scale),
+              LaplaceInverseCdf(OpenUnitFromBits(words()), scale));
+  }
 }
 
 TEST(RandomTest, LaplaceDrawsAreAlwaysFinite) {

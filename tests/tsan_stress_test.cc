@@ -25,6 +25,7 @@
 #include "common/parallel.h"
 #include "engine/engine.h"
 #include "engine/executor.h"
+#include "graphical/bayesian_network.h"
 #include "graphical/markov_chain.h"
 #include "pufferfish/analysis_cache.h"
 
@@ -278,6 +279,45 @@ TEST(TsanStressTest, AnalysisCacheConcurrentHitsAndExtensions) {
   // thread's extension may hit the first's stored plan, so >= 1, and
   // bounded by the distinct new lengths).
   EXPECT_GE(stats.extensions, 1u);
+}
+
+// Distinct epsilons compiled on one MQM-general engine from many threads
+// while its quilt-influence table is still being built: racing builds
+// keep the incumbent table, every thread's plan scores it, and the plans
+// equal a cold Mechanism::Analyze.
+TEST(TsanStressTest, NetworkCompilesRaceEpsilonFreeTableBuild) {
+  EngineOptions options;
+  options.num_threads = 2;
+  auto engine = PrivacyEngine::Create(
+                    ModelSpec::NetworkClass({BayesianNetwork::FromMarkovChain(
+                                                 {0.5, 0.5},
+                                                 Matrix{{0.8, 0.2}, {0.3, 0.7}},
+                                                 24)
+                                                 .ValueOrDie()}),
+                    options)
+                    .ValueOrDie();
+  constexpr int kPerThread = 4;
+  std::vector<double> sigmas(kThreads * kPerThread, -1.0);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const std::size_t slot = t * kPerThread + static_cast<std::size_t>(i);
+        const double epsilon = 0.5 + 0.1 * static_cast<double>(slot);
+        const auto compiled = engine->Compile(QuerySpec::Sum(epsilon));
+        ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+        sigmas[slot] = compiled.value().plan->sigma;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::shared_ptr<const Mechanism> mechanism = engine->mechanism();
+  for (std::size_t slot = 0; slot < sigmas.size(); ++slot) {
+    const double epsilon = 0.5 + 0.1 * static_cast<double>(slot);
+    EXPECT_EQ(sigmas[slot], mechanism->Analyze(epsilon).ValueOrDie().sigma)
+        << "epsilon " << epsilon;
+  }
+  EXPECT_EQ(engine->cache_stats().misses, sigmas.size());
 }
 
 // ParallelFor under churn: two pools alternating loops from their owner
