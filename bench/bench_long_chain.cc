@@ -16,13 +16,19 @@
 // All benchmarks run single-threaded (num_threads = 1) so the dedup ratio,
 // not thread fan-out, is what the numbers show; counters report
 // scored-vs-total nodes and ladder memory.
+//
+// BM_MqmApproxLength times MQMApprox (Algorithm 4) on the electricity class
+// summary from T = 1e4 to 1e9: its cost must not grow with T.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
 #include <vector>
 
 #include "common/matrix.h"
+#include "common/random.h"
+#include "data/electricity.h"
 #include "graphical/markov_chain.h"
+#include "pufferfish/mqm_approx.h"
 #include "pufferfish/mqm_exact.h"
 
 namespace pf {
@@ -128,6 +134,43 @@ void BM_LongChain_FreeInitial(benchmark::State& state) {
 BENCHMARK(BM_LongChain_FreeInitial)
     ->ArgsProduct({{1000, 10000, 100000}, {2, 8, 32}})
     ->Unit(benchmark::kMillisecond);
+
+// ----------------------------------------------------------- MQMApprox --
+//
+// Algorithm 4 at T in {1e4, 1e6, 1e9}, shortcut on (1) or off (0), on the
+// summary of the 51-state electricity chain estimated from the simulated
+// trace (as bench_table2_runtime does). The summary is computed once,
+// outside the timed loop. The shortcut scores the middle node; the scan
+// scores one node per boundary class, at most 2 * 4a* + 1 of them.
+const ChainClassSummary& ElectricitySummary() {
+  static const ChainClassSummary summary = [] {
+    ElectricitySimOptions sim;
+    Rng rng(0xE1EC);
+    const StateSequence seq = SimulateElectricity(sim, &rng).ValueOrDie();
+    const MarkovChain chain =
+        MarkovChain::Estimate({seq}, kNumPowerLevels).ValueOrDie();
+    return SummarizeChainClass({chain}).ValueOrDie();
+  }();
+  return summary;
+}
+
+void BM_MqmApproxLength(benchmark::State& state) {
+  const std::size_t length = static_cast<std::size_t>(state.range(0));
+  const ChainClassSummary& summary = ElectricitySummary();
+  ChainMqmOptions options;
+  options.epsilon = kEpsilon;
+  options.max_nearby = 0;  // Lemma 4.9 automatic width.
+  options.allow_stationary_shortcut = state.range(1) != 0;
+  ChainMqmResult last;
+  for (auto _ : state) {
+    last = MqmApproxAnalyze(summary, length, options).ValueOrDie();
+    benchmark::DoNotOptimize(last.sigma_max);
+  }
+  state.counters["sigma_max"] = last.sigma_max;
+}
+BENCHMARK(BM_MqmApproxLength)
+    ->ArgsProduct({{10000, 1000000, 1000000000}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 // ------------------------------------------------ streaming / appends --
 //

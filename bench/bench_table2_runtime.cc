@@ -141,6 +141,22 @@ void BM_Electricity_MQMApprox(benchmark::State& state) {
 }
 BENCHMARK(BM_Electricity_MQMApprox)->Unit(benchmark::kMillisecond);
 
+// Algorithm 4 alone: the one above also re-runs the 51-state eigen-summary
+// (SummarizeChainClass) every iteration; here it is computed once.
+void BM_Electricity_MQMApproxFromSummary(benchmark::State& state) {
+  const ChainClassSummary summary =
+      SummarizeChainClass({ElectricityChain()}).ValueOrDie();
+  ChainMqmOptions options;
+  options.epsilon = kEpsilon;
+  options.max_nearby = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        MqmApproxAnalyze(summary, kElectricityLength, options));
+  }
+}
+BENCHMARK(BM_Electricity_MQMApproxFromSummary)
+    ->Unit(benchmark::kMicrosecond);
+
 void BM_Electricity_MQMExact(benchmark::State& state) {
   const MarkovChain& chain = ElectricityChain();
   ChainMqmOptions approx_options;

@@ -177,22 +177,14 @@ Result<double> MarkovChain::Eigengap() const {
       s(x, y) = std::sqrt(pi[x]) * target(x, y) / std::sqrt(pi[y]);
     }
   }
+  // Descending order: eig[0] is the Perron eigenvalue. Rounding may put
+  // another |lambda| a hair above 1; its gap floors at 0, which the
+  // mechanisms refuse.
   PF_ASSIGN_OR_RETURN(Vector eig, SymmetricEigenvalues(s, 1e-6));
   double gap = 1.0;
-  bool found = false;
-  for (double lambda : eig) {
-    const double abs_l = std::fabs(lambda);
-    if (abs_l < 1.0 - 1e-9) {
-      gap = std::min(gap, 1.0 - abs_l);
-      found = true;
-    }
+  for (std::size_t j = 1; j < eig.size(); ++j) {
+    gap = std::min(gap, std::max(0.0, 1.0 - std::fabs(eig[j])));
   }
-  if (!found) {
-    // All eigenvalues are 1 (e.g. k == 1); treat the gap as 1.
-    return multiplier * 1.0;
-  }
-  // `gap` currently holds min over sub-unit eigenvalues of (1 - |lambda|);
-  // Eq. (14) takes the minimum, i.e. the slowest-mixing component.
   return multiplier * gap;
 }
 

@@ -62,8 +62,13 @@ class MarkovChain {
   bool IsAperiodic() const;
 
   /// \brief Eigengap g of the chain per the paper's Eq. (14):
-  ///  - reversible:      2 * min{1 - |lambda| : P x = lambda x, |lambda| < 1}
-  ///  - non-reversible:  min{1 - |lambda| : P P* x = lambda x, |lambda| < 1}.
+  ///  - reversible:      2 * min_{j >= 2} (1 - |lambda_j(P)|)
+  ///  - non-reversible:  min_{j >= 2} (1 - |lambda_j(P P*)|),
+  /// with 1 = lambda_1 >= lambda_2 >= ... the spectrum in descending order.
+  ///
+  /// Only the Perron eigenvalue lambda_1 is excluded. Every other one
+  /// counts, however close to 1, so a chain that barely mixes gets a gap
+  /// near 0; a computed |lambda_j| >= 1 gives gap 0. One state: the min is 1.
   ///
   /// Both P (when reversible) and P P* are self-adjoint w.r.t. pi, so the
   /// spectrum is computed by symmetrizing with D^{1/2} (.) D^{-1/2},

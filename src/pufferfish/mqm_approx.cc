@@ -47,80 +47,103 @@ Result<std::size_t> LemmaFourNineAStar(const ChainClassSummary& summary,
                                        double epsilon) {
   PF_RETURN_NOT_OK(CheckSummary(summary));
   PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
+  const double growth = std::exp(epsilon / 6.0);
+  // Once exp overflows (epsilon above about 4260) the ratio has long since
+  // rounded to its limit 1: growth +- 1 == growth from growth > 2^53 on.
   const double ratio =
-      (std::exp(epsilon / 6.0) + 1.0) / (std::exp(epsilon / 6.0) - 1.0);
-  const double inner = std::log(ratio / summary.pi_min) / summary.eigengap;
-  return static_cast<std::size_t>(2.0 * std::ceil(inner));
+      std::isinf(growth) ? 1.0 : (growth + 1.0) / (growth - 1.0);
+  const double a_star =
+      2.0 * std::ceil(std::log(ratio / summary.pi_min) / summary.eigengap);
+  // A tiny epsilon (growth rounds to 1, so ratio = +inf) or a vanishing gap
+  // overflows a*; saturate before the cast.
+  if (!(a_star < static_cast<double>(kMaxAStar))) return kMaxAStar;
+  return static_cast<std::size_t>(a_star);
 }
 
 namespace {
-// sigma_i for node `node`: min score over the capped Lemma 4.6 family.
-// The bound depends only on the endpoint distances (a, b), so the family is
-// scanned arithmetically with the per-distance side bounds precomputed —
-// no quilt structs are materialized until the winner is known.
-Result<QuiltScore> ScoreNodeApprox(const ChainClassSummary& summary,
-                                   std::size_t length, int node, double epsilon,
-                                   std::size_t max_nearby) {
+// Tables over the endpoint distance t = 0..width, built once per analysis:
+// side[t] = log((1 + Delta_t)/(1 - Delta_t)) (t >= 1), which the past side
+// contributes twice and the future side once (Lemmas 4.8 / C.1), and
+// prefix_min[t] = min(side[1..t]) (+inf at t = 0). prefix_min is
+// non-increasing even where rounding makes side[] not so.
+struct SideTables {
+  std::vector<double> side;
+  std::vector<double> prefix_min;
+};
+
+SideTables BuildSideTables(const ChainClassSummary& summary, int width) {
+  const std::size_t size = static_cast<std::size_t>(width) + 1;
+  SideTables t{std::vector<double>(size, kInf), std::vector<double>(size, kInf)};
+  for (std::size_t d = 1; d < size; ++d) {
+    t.side[d] = SideBound(summary, static_cast<int>(d));
+    t.prefix_min[d] = std::min(t.prefix_min[d - 1], t.side[d]);
+  }
+  return t;
+}
+
+// sigma_i for node `node`: min score over the Lemma 4.6 family capped at
+// `width` nearby nodes. The bound depends only on the endpoint distances
+// (a, b), so the family is scanned arithmetically over the side tables —
+// no quilt structs are materialized until the winner is known. The trivial
+// quilt is the incumbent and a quilt wins only with a strictly smaller
+// score, in family order. Every skip below only passes over quilts that
+// cannot win, so the result equals that of the plain scan.
+Result<QuiltScore> ScoreNodeApprox(const SideTables& t, std::size_t length,
+                                   int node, double epsilon, int width) {
   const int n = static_cast<int>(length);
   const int i = node;
-  const int max_card = static_cast<int>(max_nearby);
-  // side[t] = log((1 + Delta_t)/(1 - Delta_t)); the past side contributes
-  // twice this value, the future side once (Lemmas 4.8 / C.1).
-  std::vector<double> side(static_cast<std::size_t>(max_card) + 2, kInf);
-  for (int t = 1; t <= max_card + 1; ++t) {
-    side[static_cast<std::size_t>(t)] = SideBound(summary, t);
-  }
+  const double* side = t.side.data();
+  const double* prefix_min = t.prefix_min.data();
   double best_score = static_cast<double>(length) / epsilon;  // Trivial quilt.
   double best_influence = 0.0;
   int best_a = 0, best_b = 0;  // 0/0 encodes the trivial quilt.
-  // Two-sided quilts {X_{i-a}, X_{i+b}}: card = a + b - 1.
-  for (int a = 1; a <= i && a <= max_card; ++a) {
-    const double left = 2.0 * side[static_cast<std::size_t>(a)];
-    if (std::isinf(left)) continue;
-    for (int b = 1; i + b < n && a + b - 1 <= max_card; ++b) {
-      const double card = static_cast<double>(a + b - 1);
-      if (card / epsilon >= best_score) break;  // Score only grows with b.
-      const double e = left + side[static_cast<std::size_t>(b)];
-      if (e >= epsilon) continue;
-      const double score =
-          QuiltScoreFromInfluence(static_cast<std::size_t>(card), epsilon, e);
-      if (score < best_score) {
-        best_score = score;
-        best_influence = e;
-        best_a = a;
-        best_b = b;
-      }
-    }
-  }
-  // Left-only quilts {X_{i-a}}: card = (n-1) - (i-a).
-  for (int a = 1; a <= i; ++a) {
-    const int card = n - 1 - (i - a);
-    if (card > max_card || a > max_card) continue;
-    const double e = 2.0 * side[static_cast<std::size_t>(a)];
-    if (e >= epsilon) continue;
+  auto offer = [&](int card, double e, int a, int b) {
     const double score =
         QuiltScoreFromInfluence(static_cast<std::size_t>(card), epsilon, e);
     if (score < best_score) {
       best_score = score;
       best_influence = e;
       best_a = a;
-      best_b = 0;
-    }
-  }
-  // Right-only quilts {X_{i+b}}: card = i + b.
-  for (int b = 1; i + b < n; ++b) {
-    const int card = i + b;
-    if (card > max_card || b > max_card) break;
-    const double e = side[static_cast<std::size_t>(b)];
-    if (e >= epsilon) continue;
-    const double score =
-        QuiltScoreFromInfluence(static_cast<std::size_t>(card), epsilon, e);
-    if (score < best_score) {
-      best_score = score;
-      best_influence = e;
-      best_a = 0;
       best_b = b;
     }
+  };
+  // Two-sided quilts {X_{i-a}, X_{i+b}}: card = a + b - 1 <= width.
+  for (int a = 1; a <= std::min(i, width); ++a) {
+    const double left = 2.0 * side[a];
+    // side >= 0, so e = left + side[b] >= left >= epsilon for every b.
+    if (!(left < epsilon)) continue;
+    const int b_end = std::min(n - 1 - i, width + 1 - a);
+    // Every b before the first with left + prefix_min[b] < epsilon has
+    // e >= epsilon (rounded addition is monotone), so the scan starts there.
+    const int b_begin = static_cast<int>(
+        std::partition_point(prefix_min + 1, prefix_min + b_end + 1,
+                             [&](double m) { return left + m >= epsilon; }) -
+        prefix_min);
+    for (int b = b_begin; b <= b_end; ++b) {
+      const int card = a + b - 1;
+      // e >= left, so this b and every later one (larger card) score at
+      // least card / (epsilon - left).
+      if (static_cast<double>(card) / (epsilon - left) >= best_score) break;
+      const double e = left + side[b];
+      if (e >= epsilon) continue;
+      offer(card, e, a, b);
+    }
+  }
+  // Left-only quilts {X_{i-a}}: card = (n-1) - (i-a), growing with a and >= a.
+  for (int a = 1; a <= i; ++a) {
+    const int card = n - 1 - (i - a);
+    if (card > width) break;
+    const double e = 2.0 * side[a];
+    if (e >= epsilon) continue;
+    offer(card, e, a, 0);
+  }
+  // Right-only quilts {X_{i+b}}: card = i + b, growing with b and >= b.
+  for (int b = 1; i + b < n; ++b) {
+    const int card = i + b;
+    if (card > width) break;
+    const double e = side[b];
+    if (e >= epsilon) continue;
+    offer(card, e, 0, b);
   }
   QuiltScore best;
   best.score = best_score;
@@ -141,10 +164,16 @@ Result<ChainMqmResult> MqmApproxAnalyze(const ChainClassSummary& summary,
   PF_RETURN_NOT_OK(ValidatePrivacyParams({options.epsilon}));
   if (length == 0) return Status::InvalidArgument("length must be positive");
   PF_RETURN_NOT_OK(ValidateChainLength(length));
-  PF_ASSIGN_OR_RETURN(std::size_t a_star,
-                      LemmaFourNineAStar(summary, options.epsilon));
   std::size_t max_nearby = options.max_nearby;
-  if (max_nearby == 0) max_nearby = 4 * a_star;  // Lemma 4.9 auto width.
+  if (max_nearby == 0) {  // Lemma 4.9 auto width.
+    PF_ASSIGN_OR_RETURN(std::size_t a_star,
+                        LemmaFourNineAStar(summary, options.epsilon));
+    max_nearby = 4 * a_star;
+  }
+  // Every card in the three families is at most T-1, so a wider cap admits
+  // nothing more; capping keeps the width an int and bounds the tables.
+  const int width = static_cast<int>(std::min(max_nearby, length - 1));
+  const SideTables tables = BuildSideTables(summary, width);
 
   ChainMqmResult result;
   if (options.allow_stationary_shortcut && length >= 3) {
@@ -157,7 +186,7 @@ Result<ChainMqmResult> MqmApproxAnalyze(const ChainClassSummary& summary,
     const int mid = static_cast<int>(length / 2);
     PF_ASSIGN_OR_RETURN(
         QuiltScore mid_best,
-        ScoreNodeApprox(summary, length, mid, options.epsilon, max_nearby));
+        ScoreNodeApprox(tables, length, mid, options.epsilon, width));
     const bool interior_two_sided =
         mid_best.quilt.quilt.size() == 2 &&
         mid_best.quilt.quilt.front() >= 0 &&
@@ -171,17 +200,24 @@ Result<ChainMqmResult> MqmApproxAnalyze(const ChainClassSummary& summary,
       return result;
     }
   }
+  // Node i's family depends on i only through its boundary class
+  // (min(i, width), min(T-1-i, width)), and the bound not at all, so the
+  // nodes width..T-1-width all score as node `width` does (MQMExact's
+  // dedup classes). Scoring one node per class, in node order with the
+  // strict >, keeps the first node attaining sigma_max.
+  const std::size_t w = static_cast<std::size_t>(width);
   result.sigma_max = -kInf;
   for (std::size_t i = 0; i < length; ++i) {
     PF_ASSIGN_OR_RETURN(QuiltScore ns,
-                        ScoreNodeApprox(summary, length, static_cast<int>(i),
-                                        options.epsilon, max_nearby));
+                        ScoreNodeApprox(tables, length, static_cast<int>(i),
+                                        options.epsilon, width));
     if (ns.score > result.sigma_max) {
       result.sigma_max = ns.score;
       result.worst_node = static_cast<int>(i);
       result.active_quilt = ns.quilt;
       result.influence = ns.influence;
     }
+    if (i == w && length - w > w + 1) i = length - w - 1;  // Next: T-width.
   }
   return result;
 }

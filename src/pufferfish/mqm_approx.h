@@ -11,8 +11,14 @@
 // the score is used, the mechanism remains epsilon-Pufferfish private; the
 // price is extra noise relative to MQMExact. The bound is independent of
 // the node index, so Lemma 4.9 applies: for chains of length
-// T >= 8 a*, only the middle node with quilt width <= 4 a* need be scored,
-// giving an O((a*)^2) search independent of T.
+// T >= 8 a*, only the middle node with quilt width <= 4 a* need be scored.
+//
+// Cost, with w = min(width, T-1): O(w) to tabulate the side bounds once per
+// analysis, then per scored node O(w) past distances a, each with one
+// binary search for its first feasible future distance b and the b's that
+// survive the score bound. The Lemma 4.9 shortcut scores one node; without
+// it, one node per boundary class (min(i, w), min(T-1-i, w)), at most
+// 2w + 1 nodes. Nothing depends on T beyond the cap on w.
 #ifndef PUFFERFISH_PUFFERFISH_MQM_APPROX_H_
 #define PUFFERFISH_PUFFERFISH_MQM_APPROX_H_
 
@@ -32,17 +38,24 @@ namespace pf {
 Result<double> ChainQuiltInfluenceBound(const ChainClassSummary& summary,
                                         const MarkovQuilt& quilt);
 
+/// \brief Saturation value of LemmaFourNineAStar (2^60, so 8 a* still fits
+/// in size_t). Any width of at least T-1 already admits the whole family.
+inline constexpr std::size_t kMaxAStar = std::size_t{1} << 60;
+
 /// \brief Lemma 4.9's critical width
 ///   a* = 2 * ceil( log( (e^{eps/6}+1)/(e^{eps/6}-1) * 1/pi_min ) / g ).
 /// For T >= 8 a*, the optimal quilt for the middle node has width <= 4 a*
-/// and the middle node attains sigma_max.
+/// and the middle node attains sigma_max. Saturates at kMaxAStar where the
+/// formula overflows: an epsilon so small that e^{eps/6} rounds to 1, or a
+/// vanishing gap. Where e^{eps/6} overflows, the ratio takes its limit 1.
 Result<std::size_t> LemmaFourNineAStar(const ChainClassSummary& summary,
                                        double epsilon);
 
 /// \brief Algorithm 4 (MQMApprox). `options.max_nearby == 0` selects the
-/// Lemma 4.9 automatic width (4 a*). The influence bound is node-index
-/// independent, so when T >= 8 a* only the middle node is scored
-/// (Lemma 4.9); otherwise every node is scanned.
+/// Lemma 4.9 automatic width (4 a*); any width is capped at T-1, which
+/// admits every quilt. The influence bound is node-index independent, so
+/// when the middle node's optimum is two-sided or trivial only the middle
+/// node is scored (Lemma 4.9); otherwise one node per boundary class is.
 Result<ChainMqmResult> MqmApproxAnalyze(const ChainClassSummary& summary,
                                         std::size_t length,
                                         const ChainMqmOptions& options);

@@ -360,6 +360,46 @@ TEST(PrivacyEngineTest, ChainLengthsPastTheIntLimitAreRefused) {
   EXPECT_TRUE(engine->Compile(QuerySpec::Mean(1.0)).ok());
 }
 
+TEST(PrivacyEngineTest, BarelyMixingChainGetsTheTrivialQuiltScale) {
+  // q = 1e-10: irreducible and aperiodic, but lambda_2 = 1 - 2e-10 gives
+  // g = 4e-10. No Lemma 4.8 bound applies within T nodes, so MQMApprox
+  // must fall back to the trivial quilt, T / epsilon.
+  const MarkovChain slow =
+      MarkovChain::Make({0.5, 0.5},
+                        Matrix{{1.0 - 1e-10, 1e-10}, {1e-10, 1.0 - 1e-10}})
+          .ValueOrDie();
+  auto engine =
+      PrivacyEngine::Create(ModelSpec::ChainClass({slow}, 200000)).ValueOrDie();
+  EXPECT_EQ(engine->mechanism_kind(), MechanismKind::kMqmApprox);
+  EXPECT_EQ(engine->Compile(QuerySpec::Sum(1.0)).ValueOrDie().plan->sigma,
+            200000.0);
+}
+
+TEST(PrivacyEngineTest, ExtremeWidthsAndEpsilonsCompileOrFail) {
+  // g = 1e-9 asks for a Lemma 4.9 width past INT_MAX, epsilon = 5000
+  // overflows exp(epsilon / 6), and epsilon = 1e-17 rounds it to 1. Each
+  // must give a plan or a typed Status, never an abort.
+  const std::size_t length = 1000000;
+  const ChainClassSummary summaries[] = {{0.5, 1e-9, true}, {0.2, 1.0, true}};
+  for (const ChainClassSummary& summary : summaries) {
+    auto engine =
+        PrivacyEngine::Create(ModelSpec::ChainSummary(summary, 2, length))
+            .ValueOrDie();
+    for (double eps : {1.0, 5000.0, 1e-17}) {
+      const Result<PrivacyEngine::CompiledQuery> compiled =
+          engine->Compile(QuerySpec::Sum(eps));
+      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+      const double sigma = compiled.ValueOrDie().plan->sigma;
+      EXPECT_GT(sigma, 0.0) << "g " << summary.eigengap << " eps " << eps;
+      EXPECT_LE(sigma, static_cast<double>(length) / eps);
+      // No side bound applies below ~1.4e9 nodes at g = 1e-9.
+      if (summary.eigengap == 1e-9) {
+        EXPECT_EQ(sigma, static_cast<double>(length) / eps);
+      }
+    }
+  }
+}
+
 TEST(PrivacyEngineTest, NonChainMechanismsReportZeroStats) {
   auto engine =
       PrivacyEngine::Create(ModelSpec::Sensitivity(1.0)).ValueOrDie();

@@ -120,6 +120,31 @@ TEST(MarkovChainTest, PaperEigengap) {
   }
 }
 
+// Lazy two-state chain with switch probability q: eigenvalues 1 and 1 - 2q,
+// so the reversible gap is 2 (2q) = 4q however slowly the chain mixes.
+MarkovChain LazyChain(double q) {
+  return MarkovChain::Make({0.5, 0.5}, Matrix{{1.0 - q, q}, {q, 1.0 - q}})
+      .ValueOrDie();
+}
+
+TEST(MarkovChainTest, EigengapExcludesOnlyThePerronEigenvalue) {
+  for (double q : {0.3, 1e-3, 1e-6}) {
+    EXPECT_NEAR(LazyChain(q).Eigengap().ValueOrDie(), 4.0 * q, 4.0 * q * 1e-6)
+        << "q = " << q;
+  }
+  // lambda_2 = 1 - 2e-10 lies within 1e-9 of 1. It is still the slowest
+  // mixing component, not a second Perron eigenvalue: g = 4e-10, not 2.
+  const MarkovChain slow = LazyChain(1e-10);
+  ASSERT_TRUE(slow.IsIrreducible());
+  ASSERT_TRUE(slow.IsAperiodic());
+  EXPECT_NEAR(slow.Eigengap().ValueOrDie(), 4e-10, 4e-10 * 1e-3);
+  // One state: no eigenvalue besides the Perron one; the gap stays 1
+  // (doubled, the chain being reversible).
+  const MarkovChain single =
+      MarkovChain::Make({1.0}, Matrix{{1.0}}).ValueOrDie();
+  EXPECT_EQ(single.Eigengap().ValueOrDie(), 2.0);
+}
+
 TEST(MarkovChainTest, TransitionPowerCaching) {
   const MarkovChain theta = Theta1();
   const Matrix& p3 = theta.TransitionPower(3);
